@@ -20,6 +20,7 @@ from .losses import (
 )
 from .model import (
     BaselineParams,
+    CheckpointFormatError,
     ForwardTrace,
     ModelParams,
     baseline_forward,
@@ -47,6 +48,7 @@ from .train import TrainConfig, TrainingDiverged, TrainResult, train
 __all__ = [
     "ALL_KINDS",
     "BaselineParams",
+    "CheckpointFormatError",
     "CorruptionSpec",
     "DensityProfile",
     "EvalReport",

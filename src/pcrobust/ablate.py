@@ -30,7 +30,7 @@ def run_grid(
             test_set,
             sampler=result.sampler,
             kinds=kinds,
-            eval_seeds=eval_seeds if _is_stochastic(result.sampler) else (0,),
+            eval_seeds=eval_seeds,
             corruption_seed=corruption_seed,
         )
         row = {key: cfg.get(key, "") for key in GRID_COLUMNS}
@@ -38,10 +38,6 @@ def run_grid(
         row["er_cor"] = report.er_cor
         rows.append(row)
     return rows
-
-
-def _is_stochastic(sampler) -> bool:
-    return sampler.variant != "fps"
 
 
 def write_table_csv(rows, path) -> None:

@@ -157,8 +157,6 @@ def cmd_eval(args) -> int:
     kinds = _parse_kinds(args.kinds) if args.kinds else ALL_KINDS
     severities = tuple(int(s) for s in args.severities.split(","))
     eval_seeds = tuple(int(s) for s in args.eval_seeds.split(","))
-    if sampler.variant == "fps":
-        eval_seeds = (eval_seeds[0],)  # deterministic sampler: one draw suffices
     report, log = evaluate(
         params,
         dataset,

@@ -94,10 +94,13 @@ def evaluate(
     """Error rates of a trained model on clean and corrupted copies of a set.
 
     With a stochastic sampler each cloud is predicted once per eval seed and
-    the 0/1 errors are averaged. Corrupted inputs derive deterministic
+    the 0/1 errors are averaged; fps is deterministic, so it gets only the
+    first eval seed. Corrupted inputs derive deterministic
     per-(cloud, kind, severity) substreams from ``corruption_seed``.
     Returns (EvalReport, prediction log).
     """
+    if sampler is not None and sampler.variant == "fps":
+        eval_seeds = tuple(eval_seeds)[:1]
     records = []
     for i, cloud in enumerate(dataset):
         variants = [(CLEAN, 0, cloud)]

@@ -8,17 +8,24 @@ explicit index outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable N x 3 coordinate set with an optional integer class label."""
+    """Immutable N x 3 coordinate set with an optional integer class label.
+
+    The cloud carries a lazily built neighbour table (see ``neighbors``),
+    which lives as long as the cloud object does.
+    """
 
     points: np.ndarray
     label: int | None = None
+    _neighbors: "NeighborTable | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64)
@@ -39,13 +46,35 @@ class PointCloud:
         """New cloud with replaced coordinates, keeping the label."""
         return PointCloud(points, self.label)
 
+    def neighbors(self, width: int) -> "NeighborTable":
+        """First ``width`` columns of every point's self-inclusive neighbour order.
+
+        Built on first use and cached on the cloud: the points are
+        read-only, so the table cannot go stale. A wider request rebuilds
+        it; a narrower one is a slice of the cached columns.
+        """
+        if not 1 <= width <= self.n:
+            raise ValueError(f"width must satisfy 1 <= width <= N, got {width}")
+        table = self._neighbors
+        if table is None or table.k < width:
+            table = _nearest_columns(self.points, width)
+            table.indices.flags.writeable = False
+            table.distances.flags.writeable = False
+            object.__setattr__(self, "_neighbors", table)
+        if table.k == width:
+            return table
+        return NeighborTable(table.indices[:, :width], table.distances[:, :width])
+
 
 @dataclass(frozen=True)
 class NeighborTable:
-    """Per-point k nearest neighbors, distances sorted ascending per row.
+    """Per-point nearest neighbors, distances sorted ascending per row.
 
-    Rows never contain the query point's own index; equal distances are
-    ordered by ascending point index.
+    Equal distances are ordered by ascending point index. The table a
+    cloud caches (``PointCloud.neighbors``) is self-inclusive: a point's
+    own index sits at distance 0, after any coincident copies with lower
+    index, so with more than ``k`` such copies it is not in the row at
+    all. ``knn`` returns rows with the point's own index removed.
     """
 
     indices: np.ndarray
@@ -70,37 +99,67 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     return cloud.with_points(centered)
 
 
-def pairwise_distances(points: np.ndarray, chunk: int = 512) -> np.ndarray:
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Exact N x N Euclidean distance matrix via direct differences.
 
-    Computed per row chunk so results match per-pair sqrt(sum of squared
-    differences) bit for bit (no x^2+y^2-2xy cancellation).
+    Built one coordinate at a time, so results match per-pair
+    sqrt(sum of squared differences) bit for bit (no x^2+y^2-2xy
+    cancellation) without an N x N x 3 temporary.
     """
-    n = points.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = points[start:stop, None, :] - points[None, :, :]
-        out[start:stop] = np.sqrt((diff**2).sum(axis=2))
-    return out
+    coords = np.ascontiguousarray(points.T)
+    diff = np.subtract.outer(coords[0], coords[0])
+    sq = diff * diff
+    for col in coords[1:]:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
+
+
+def _nearest_columns(points: np.ndarray, width: int) -> NeighborTable:
+    """The first ``width`` columns of each row's stable argsort of distances.
+
+    The cut value comes from a partition; points tied at the cut are kept
+    by ascending index, as a stable sort would, so only the kept columns
+    need sorting.
+    """
+    dist = pairwise_distances(points)
+    n = dist.shape[0]
+    cut = np.partition(dist, width - 1, axis=1)[:, width - 1 : width]
+    keep = dist <= cut
+    tied_rows = np.flatnonzero(keep.sum(axis=1) > width)
+    if tied_rows.size:
+        rows, row_cut = dist[tied_rows], cut[tied_rows]
+        below = rows < row_cut
+        at_cut = rows == row_cut
+        room = width - below.sum(axis=1, keepdims=True)
+        keep[tied_rows] = below | (at_cut & (np.cumsum(at_cut, axis=1) <= room))
+    cols = np.nonzero(keep)[1].reshape(n, width)
+    near = np.take_along_axis(dist, cols, axis=1)
+    order = np.argsort(near, axis=1, kind="stable")
+    return NeighborTable(
+        indices=np.take_along_axis(cols, order, axis=1),
+        distances=np.take_along_axis(near, order, axis=1),
+    )
 
 
 def knn(cloud: PointCloud, k: int) -> NeighborTable:
     """Exact Euclidean k nearest neighbors of every point, self excluded.
 
     Ties are broken by ascending point index so output is reproducible
-    across platforms. Requires 1 <= k <= N-1.
+    across platforms. Reads the cloud's cached neighbour table. Requires
+    1 <= k <= N-1.
     """
     n = cloud.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
-    dist = pairwise_distances(cloud.points)
-    np.fill_diagonal(dist, np.inf)
-    # stable sort keeps equal distances in index order
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    table = cloud.neighbors(k + 1)
+    keep = table.indices != np.arange(n)[:, None]
+    # self beyond the first k+1 columns: the row holds k+1 others, drop the last
+    keep[keep.all(axis=1), -1] = False
     return NeighborTable(
-        indices=order,
-        distances=np.take_along_axis(dist, order, axis=1),
+        indices=table.indices[keep].reshape(n, k),
+        distances=table.distances[keep].reshape(n, k),
     )
 
 

@@ -194,14 +194,11 @@ def init_baseline(
     )
 
 
-def group_indices(points: np.ndarray, anchors: np.ndarray, group_k: int) -> np.ndarray:
+def group_indices(cloud: PointCloud, anchors: np.ndarray, group_k: int) -> np.ndarray:
     """Self-inclusive nearest original points of each anchor, ties by index."""
-    n = points.shape[0]
-    if not 1 <= group_k <= n:
+    if not 1 <= group_k <= cloud.n:
         raise ValueError(f"group_k must satisfy 1 <= group_k <= N, got {group_k}")
-    diff = points[None, :, :] - points[anchors][:, None, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    return np.argsort(dist, axis=1, kind="stable")[:, :group_k]
+    return cloud.neighbors(group_k).indices[anchors]
 
 
 def neighbor_embed(
@@ -223,11 +220,13 @@ def neighbor_embed(
     if anchors is None:
         if sampler is None:
             raise ValueError("either a sampler spec or explicit anchors required")
+        # one neighbour table wide enough for the density kNN and the groups
+        cloud.neighbors(min(max(params.group_k, sampler.k + 1), cloud.n))
         anchors = sample_anchors(cloud, sampler, rng, fps_start)
     anchors = np.asarray(anchors, dtype=np.int64)
     pts = cloud.points
     g = params.group_k
-    groups = group_indices(pts, anchors, g)
+    groups = group_indices(cloud, anchors, g)
     rel = pts[groups] - pts[anchors][:, None, :]
     ctr = np.broadcast_to(pts[anchors][:, None, :], rel.shape)
     feats = np.concatenate([rel, ctr], axis=2).reshape(anchors.size * g, 6)
@@ -360,37 +359,65 @@ def save_checkpoint(path, params, sampler: SampleSpec | None = None) -> None:
     Path(path).write_bytes(b"".join(blob))
 
 
+class CheckpointFormatError(ValueError):
+    """A checkpoint file that cannot be read; names the path and the reason."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 def load_checkpoint(path):
-    """Returns (params, sampler spec recorded at save time)."""
+    """Returns (params, sampler spec recorded at save time).
+
+    Raises CheckpointFormatError for a bad magic, an unknown arch or
+    sampler code, a truncated file, or trailing bytes.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r}")
+        raise CheckpointFormatError(path, f"bad checkpoint magic {raw[:4]!r}")
     off = 4
-    (arch,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(n_bytes: int, what: str) -> int:
+        nonlocal off
+        if off + n_bytes > len(raw):
+            raise CheckpointFormatError(
+                path,
+                f"truncated: {what} needs {n_bytes} bytes at offset {off}, "
+                f"file has {len(raw)}",
+            )
+        off += n_bytes
+        return off - n_bytes
+
+    def unpack(fmt: str, what: str):
+        return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt), what))
+
+    (arch,) = unpack("<I", "arch code")
     if arch == _ARCH_ATTENTION:
         n_header = 7
     elif arch == _ARCH_BASELINE:
         n_header = 4
     else:
-        raise ValueError(f"unknown checkpoint arch code {arch}")
-    header = struct.unpack_from(f"<{n_header}I", raw, off)
-    off += 4 * n_header
-    variant_code, samp_m, samp_k = struct.unpack_from("<III", raw, off)
-    off += 12
+        raise CheckpointFormatError(path, f"unknown checkpoint arch code {arch}")
+    header = unpack(f"<{n_header}I", "header")
+    variant_code, samp_m, samp_k = unpack("<III", "sampler")
+    if variant_code >= len(SAMPLER_VARIANTS):
+        raise CheckpointFormatError(path, f"unknown sampler code {variant_code}")
     sampler = SampleSpec(m=samp_m, k=samp_k, variant=SAMPLER_VARIANTS[variant_code])
-    (n_tensors,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (n_tensors,) = unpack("<I", "tensor count")
     tensors = []
-    for _ in range(n_tensors):
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        dims = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        size = int(np.prod(dims)) if ndim else 1
-        data = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
-        off += size * 8
+    for t in range(n_tensors):
+        (ndim,) = unpack("<I", f"tensor {t} rank")
+        dims = unpack(f"<{ndim}I", f"tensor {t} dims")
+        size = math.prod(dims)
+        start = take(size * 8, f"tensor {t} data")
+        data = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
         tensors.append(Tensor(data.reshape(dims).copy(), requires_grad=True))
+    if off != len(raw):
+        raise CheckpointFormatError(
+            path, f"{len(raw) - off} trailing bytes after the last tensor"
+        )
     it = iter(tensors)
 
     if arch == _ARCH_ATTENTION:

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from pcrobust import geometry
 from pcrobust.geometry import PointCloud, normalize_unit_sphere
 
 
@@ -27,3 +28,17 @@ def cluster_outlier_cloud():
         [10.0, 0.00, 0.00],
     ]
     return PointCloud(pts)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Points of every neighbour-table build, in call order."""
+    built = []
+    real = geometry._nearest_columns
+
+    def counting(points, width):
+        built.append(points)
+        return real(points, width)
+
+    monkeypatch.setattr(geometry, "_nearest_columns", counting)
+    return built

@@ -8,6 +8,7 @@ from pcrobust.geometry import (
     normalize_unit_sphere,
     random_rotation,
 )
+from pcrobust.model import group_indices
 
 from conftest import random_cloud
 from oracles import brute_knn
@@ -132,3 +133,85 @@ class TestKnn:
         assert isinstance(table, NeighborTable)
         assert table.k == 4
         assert (table.distances >= 0).all()
+
+
+def tie_heavy_clouds():
+    """Half-integer coordinates, so every distance tie is exact."""
+    rng = np.random.default_rng(7)
+    grid = rng.integers(0, 3, (60, 3)) * 0.5
+    copies = rng.integers(-2, 3, (40, 3)) * 0.5
+    copies[rng.permutation(40)[:12]] = copies[0]
+    # 20 coincident copies: at widths below 20, the rows of the later
+    # copies do not hold their own index
+    stack = np.vstack([np.zeros((20, 3)), rng.integers(1, 4, (10, 3))])
+    return [PointCloud(pts) for pts in (grid, copies, stack)]
+
+
+def stable_order(points):
+    """Full self-inclusive stable argsort of the direct-difference distances."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    order = np.argsort(dist, axis=1, kind="stable")
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("cloud", tie_heavy_clouds() + [random_cloud(8, n=50)])
+    def test_matches_stable_argsort(self, cloud):
+        order, dist = stable_order(cloud.points)
+        for width in (1, 3, 6, 9, cloud.n):
+            fresh = PointCloud(cloud.points)
+            table = fresh.neighbors(width)
+            assert np.array_equal(table.indices, order[:, :width])
+            assert table.distances.tobytes() == dist[:, :width].tobytes()
+
+    def test_self_outside_first_columns(self):
+        cloud = tie_heavy_clouds()[2]
+        table = cloud.neighbors(6)
+        # copies 0..5 fill the first columns of every copy's row
+        for i in range(20):
+            assert table.indices[i].tolist() == list(range(6))
+        assert (table.distances[:20] == 0).all()
+        assert knn(cloud, 5).indices[10].tolist() == list(range(5))
+        assert knn(cloud, 5).indices[3].tolist() == [0, 1, 2, 4, 5]
+
+    @pytest.mark.parametrize("cloud", tie_heavy_clouds())
+    def test_knn_matches_oracle_and_reference(self, cloud):
+        order, dist = stable_order(cloud.points)
+        n = cloud.n
+        for k in (1, 5, 8, n - 1):
+            table = knn(cloud, k)
+            idx, d = brute_knn(cloud.points.tolist(), k)
+            assert table.indices.tolist() == idx
+            assert np.abs(table.distances - np.array(d)).max() <= 1e-12
+            others = order != np.arange(n)[:, None]
+            ref = order[others].reshape(n, n - 1)[:, :k]
+            ref_dist = dist[others].reshape(n, n - 1)[:, :k]
+            assert np.array_equal(table.indices, ref)
+            assert table.distances.tobytes() == ref_dist.tobytes()
+
+    @pytest.mark.parametrize("cloud", tie_heavy_clouds())
+    def test_group_indices_match_reference(self, cloud):
+        order, _ = stable_order(cloud.points)
+        anchors = np.arange(cloud.n)[::3]
+        for g in (1, 4, 8, cloud.n):
+            assert np.array_equal(group_indices(cloud, anchors, g), order[anchors, :g])
+
+    def test_narrower_slices_wider_rebuilds(self, table_builds):
+        cloud = random_cloud(9, n=30)
+        wide = cloud.neighbors(8)
+        narrow = cloud.neighbors(3)
+        knn(cloud, 5)
+        assert len(table_builds) == 1
+        assert np.array_equal(narrow.indices, wide.indices[:, :3])
+        wider = cloud.neighbors(12)
+        assert len(table_builds) == 2
+        assert np.array_equal(wider.indices[:, :8], wide.indices)
+
+    def test_cached_table_is_read_only(self):
+        cloud = random_cloud(10, n=12)
+        table = cloud.neighbors(4)
+        with pytest.raises(ValueError):
+            table.indices[0, 0] = 3
+        with pytest.raises(ValueError):
+            cloud.neighbors(13)

@@ -6,6 +6,7 @@ from pcrobust.autodiff import Tensor, finite_diff_check
 from pcrobust.geometry import PointCloud, normalize_unit_sphere
 from pcrobust.model import (
     AttentionLayerParams,
+    CheckpointFormatError,
     baseline_forward,
     forward,
     init_baseline,
@@ -186,6 +187,15 @@ class TestForward:
         assert trace.anchors.size == 8
 
 
+class TestNeighborTableReuse:
+    def test_default_forward_builds_one_table(self, table_builds):
+        cloud = random_cloud(14, n=256)
+        params = init_model(np.random.default_rng(0), n_classes=6)
+        forward(cloud, params, SampleSpec(m=64), np.random.default_rng(1))
+        cloud.neighbors(params.group_k)
+        assert len(table_builds) == 1
+
+
 class TestBaseline:
     def test_exact_permutation_invariance(self):
         params = init_baseline(np.random.default_rng(0), n_classes=4, hidden=8, d_feat=8)
@@ -264,3 +274,33 @@ class TestCheckpoint:
         path.write_bytes(b"XXXX123")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def saved_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mini_params(13), SampleSpec(m=8, k=3, variant="das-l0"))
+        return path, path.read_bytes()
+
+    def test_unknown_sampler_code(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        # magic, arch code, 7 header fields, then the sampler code
+        offset = 4 + 4 + 7 * 4
+        path.write_bytes(raw[:offset] + (99).to_bytes(4, "little") + raw[offset + 4 :])
+        with pytest.raises(CheckpointFormatError, match="unknown sampler code 99") as err:
+            load_checkpoint(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("keep", [6, 30, 60, -3])
+    def test_truncated_file(self, tmp_path, keep):
+        path, raw = self.saved_bytes(tmp_path)
+        path.write_bytes(raw[:keep])
+        with pytest.raises(CheckpointFormatError, match="truncated") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        path.write_bytes(raw + b"\0\0")
+        with pytest.raises(CheckpointFormatError, match="2 trailing bytes") as err:
+            load_checkpoint(path)
+        assert isinstance(err.value, ValueError)
+        assert str(path) in str(err.value)

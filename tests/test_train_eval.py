@@ -180,6 +180,28 @@ class TestEvaluate:
         clean_records = [r for r in log if r.kind == "clean"]
         assert len(clean_records) == len(dataset) * 3
 
+    def test_fps_logs_one_seed_per_cell(self):
+        dataset = tiny_dataset(per_class=2, points=64)
+        params = train(dataset, tiny_config(epochs=1)).params
+        _, log = evaluate(params, dataset, sampler=SampleSpec(m=8, variant="fps"),
+                          kinds=("jitter-gaussian", "rotate"), severities=(1, 2),
+                          eval_seeds=(0, 1, 2, 3, 4))
+        cells = [(r.cloud_index, r.kind, r.severity) for r in log]
+        assert len(cells) == len(set(cells)) == len(dataset) * (1 + 2 * 2)
+        assert {r.eval_seed for r in log} == {0}
+
+    def test_one_table_per_distinct_cloud(self, table_builds):
+        dataset = tiny_dataset(per_class=2, points=64)
+        params = train(dataset, tiny_config(epochs=1)).params
+        kinds = ("jitter-gaussian", "impulse", "add-global")
+        table_builds.clear()
+        _, log = evaluate(params, dataset, sampler=SampleSpec(m=8, k=5),
+                          kinds=kinds, severities=(1, 3), eval_seeds=(0, 1, 2, 3, 4))
+        variants = len(dataset) * (1 + len(kinds) * 2)
+        assert len(log) == variants * 5
+        assert len(table_builds) == variants
+        assert len({id(points) for points in table_builds}) == variants
+
     def test_report_json(self, tmp_path):
         records = [
             PredictionRecord(0, "clean", 0, 0, 1, 1),
