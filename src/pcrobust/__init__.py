@@ -6,6 +6,7 @@ training/evaluation harness that measures robustness as error rates.
 """
 
 from .autodiff import NonFiniteError, Tensor, backward, finite_diff_check
+from .cloudio import CloudFormatError
 from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption, corruption_suite
 from .data import SyntheticDatasetSpec, gen_dataset
 from .evaluate import EvalReport, PredictionRecord, evaluate, report_from_log
@@ -49,6 +50,7 @@ __all__ = [
     "ALL_KINDS",
     "BaselineParams",
     "CheckpointFormatError",
+    "CloudFormatError",
     "CorruptionSpec",
     "DensityProfile",
     "EvalReport",

@@ -2,8 +2,9 @@
 
 Tensors wrap float64 numpy arrays and record a pullback closure per
 operation (the tape is the implicit graph of ``_prev`` references).
-Shapes are explicit 2-D/1-D/scalar; the only broadcast is the bias add in
-``linear``. Every op validates that its result is finite and raises
+Elementwise ops need equal shapes; the reductions ``tsum`` and
+``max_axis`` take an axis and work at any rank; the one broadcast is
+``linear``'s bias. Every op validates that its result is finite and raises
 NonFiniteError otherwise. Gradient accumulation order is the deterministic
 reverse topological order of construction.
 """
@@ -30,40 +31,11 @@ class Tensor:
         self._backward = None
         self._prev = ()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
     def zero_grad(self):
         self.grad = None
-
-    def backward(self):
-        backward(self)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul_scalar(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
@@ -123,20 +95,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def _bw():
         _accum(a, out.grad)
         _accum(b, out.grad)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """(n, d) + (d,) row-broadcast bias; the engine's one broadcast."""
-    if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
-        raise ValueError(f"bias shape {b.data.shape} does not fit {x.data.shape}")
-    out = _result(x.data + b.data, (x, b), None)
-
-    def _bw():
-        _accum(x, out.grad)
-        _accum(b, out.grad.sum(axis=0))
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -265,62 +223,27 @@ def mean(a: Tensor) -> Tensor:
     return out
 
 
-def tsum(a: Tensor) -> Tensor:
-    out = _result(np.asarray(a.data.sum()), (a,), None)
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum over one axis, or over every entry when ``axis`` is None."""
+    kept = a.data.sum(axis=axis, keepdims=True)
+    out = _result(kept.squeeze(axis), (a,), None)
 
     def _bw():
-        _accum(a, np.full(a.data.shape, float(out.grad)))
-
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise ValueError("sum_axis expects a 2-D tensor and axis 0 or 1")
-    out = _result(a.data.sum(axis=axis), (a,), None)
-
-    def _bw():
-        g = out.grad[None, :] if axis == 0 else out.grad[:, None]
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        _accum(a, np.broadcast_to(out.grad.reshape(kept.shape), a.data.shape).copy())
 
     out._backward = _bw if out.requires_grad else None
     return out
 
 
 def max_axis(a: Tensor, axis: int) -> Tensor:
-    """Max over one axis of a 2-D tensor; gradient routes to the first argmax."""
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise ValueError("max_axis expects a 2-D tensor and axis 0 or 1")
-    amax = a.data.argmax(axis=axis)
+    """Max over one axis; the gradient routes to the first argmax."""
+    amax = a.data.argmax(axis=axis, keepdims=True)
     out = _result(a.data.max(axis=axis), (a,), None)
 
     def _bw():
         g = np.zeros_like(a.data)
-        if axis == 0:
-            g[amax, np.arange(a.data.shape[1])] = out.grad
-        else:
-            g[np.arange(a.data.shape[0]), amax] = out.grad
+        np.put_along_axis(g, amax, np.expand_dims(out.grad, axis), axis=axis)
         _accum(a, g)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def max_pool_rows(a: Tensor, group_size: int) -> Tensor:
-    """(G*g, d) -> (G, d): per-column max within consecutive row groups."""
-    rows, d = a.data.shape
-    if rows % group_size != 0:
-        raise ValueError(f"{rows} rows not divisible by group size {group_size}")
-    groups = rows // group_size
-    blocks = a.data.reshape(groups, group_size, d)
-    amax = blocks.argmax(axis=1)  # first max on ties
-    out = _result(blocks.max(axis=1), (a,), None)
-
-    def _bw():
-        g = np.zeros((groups, group_size, d))
-        g[np.arange(groups)[:, None], amax, np.arange(d)[None, :]] = out.grad
-        _accum(a, g.reshape(rows, d))
 
     out._backward = _bw if out.requires_grad else None
     return out
@@ -363,8 +286,21 @@ def log_softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with b broadcast over rows."""
-    return add_bias(matmul(x, w), b)
+    """x @ w + b for a 2-D product, with the (d_out,) bias b broadcast over rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = x.data @ w.data
+        if data.ndim != 2 or b.data.shape != (data.shape[1],):
+            raise ValueError(f"bias shape {b.data.shape} does not fit {data.shape}")
+        data += b.data
+    out = _result(data, (x, w, b), None)
+
+    def _bw():
+        _accum(x, out.grad @ w.data.T)
+        _accum(w, x.data.T @ out.grad)
+        _accum(b, out.grad.sum(axis=0))
+
+    out._backward = _bw if out.requires_grad else None
+    return out
 
 
 def finite_diff_check(f, x: Tensor, eps: float = 1e-4) -> float:

@@ -21,6 +21,59 @@ from .geometry import PointCloud
 MAGIC = b"RPC1"
 
 
+class FormatError(ValueError):
+    """A binary file that cannot be read; names the path and the reason."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
+class CloudFormatError(FormatError):
+    """An RPC1 point-cloud file that cannot be read."""
+
+
+class BinaryReader:
+    """Bounds-checked reads through one binary file, front to back.
+
+    Every read that would run past the end, a wrong magic and bytes left
+    over at ``finish`` raise ``error(path, reason)``.
+    """
+
+    def __init__(self, path, magic: bytes, error: type[FormatError]):
+        self.path, self.error = path, error
+        self.raw = Path(path).read_bytes()
+        head = self.raw[: len(magic)]
+        if head != magic:
+            raise error(path, f"bad magic {head!r}, expected {magic!r}")
+        self.offset = len(magic)
+
+    def _take(self, n_bytes: int, what: str) -> int:
+        """Claims the next n_bytes; returns their start offset."""
+        start = self.offset
+        if start + n_bytes > len(self.raw):
+            raise self.error(
+                self.path,
+                f"truncated: {what} needs {n_bytes} bytes at offset {start}, "
+                f"file has {len(self.raw)}",
+            )
+        self.offset += n_bytes
+        return start
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt), what))
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        start = self._take(count * np.dtype(dtype).itemsize, what)
+        return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
+
+    def finish(self, last: str) -> None:
+        extra = len(self.raw) - self.offset
+        if extra:
+            raise self.error(self.path, f"{extra} trailing bytes after the {last}")
+
+
 def write_xyz(cloud: PointCloud, path) -> None:
     lines = []
     if cloud.label is not None:
@@ -62,17 +115,15 @@ def write_binary(cloud: PointCloud, path) -> None:
 
 
 def read_binary(path) -> PointCloud:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    n, label_flag = struct.unpack_from("<II", raw, 4)
-    offset = 12
-    pts = np.frombuffer(raw, dtype="<f4", count=n * 3, offset=offset)
-    pts = pts.reshape(n, 3).astype(np.float64)
-    offset += n * 3 * 4
-    label = None
-    if label_flag:
-        (label,) = struct.unpack_from("<I", raw, offset)
+    """Raises CloudFormatError for a bad magic or label flag, a truncated
+    file, or trailing bytes."""
+    reader = BinaryReader(path, MAGIC, CloudFormatError)
+    n, label_flag = reader.unpack("<II", "point count and label flag")
+    if label_flag not in (0, 1):
+        raise CloudFormatError(path, f"label flag {label_flag} is not 0 or 1")
+    pts = reader.array("<f4", n * 3, "points").reshape(n, 3).astype(np.float64)
+    label = reader.unpack("<I", "label")[0] if label_flag else None
+    reader.finish("cloud")
     return PointCloud(pts, label)
 
 

@@ -8,12 +8,12 @@ the severity level, so for a fixed seed the corruption's magnitude statistic
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import derive_seed
 from .geometry import PointCloud, axis_angle_rotation
 
 ALL_KINDS = (
@@ -55,12 +55,6 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if not 1 <= self.severity <= 5:
             raise ValueError(f"severity must be in [1, 5], got {self.severity}")
-
-
-def subseed(master: int, kind: str, severity: int) -> int:
-    """Stable per-(kind, severity) substream seed derived from a master seed."""
-    digest = hashlib.sha256(f"{kind}:{severity}".encode()).digest()
-    return (master ^ int.from_bytes(digest[:8], "little")) & (2**64 - 1)
 
 
 def apply_corruption(cloud: PointCloud, spec: CorruptionSpec) -> PointCloud:
@@ -160,6 +154,6 @@ def corruption_suite(cloud: PointCloud, kinds=ALL_KINDS, seed: int = 0):
     out = []
     for kind in kinds:
         for severity in range(1, 6):
-            spec = CorruptionSpec(kind, severity, subseed(seed, kind, severity))
+            spec = CorruptionSpec(kind, severity, derive_seed(seed, kind, severity))
             out.append((spec, apply_corruption(cloud, spec)))
     return out

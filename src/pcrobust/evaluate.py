@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption, subseed
+from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption
 from .data import derive_seed
 from .sampling import SampleSpec
 from .train import predict
@@ -107,7 +107,7 @@ def evaluate(
         for kind in kinds:
             master = derive_seed(corruption_seed, "cloud", i)
             for severity in severities:
-                spec = CorruptionSpec(kind, severity, subseed(master, kind, severity))
+                spec = CorruptionSpec(kind, severity, derive_seed(master, kind, severity))
                 variants.append((kind, severity, apply_corruption(cloud, spec)))
         for kind, severity, variant in variants:
             for seed in eval_seeds:

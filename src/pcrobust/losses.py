@@ -59,7 +59,7 @@ def _row_entropies(scores: Tensor, tau: float) -> Tensor:
     """Shannon entropy (nats) of softmax(row / tau) for every row: (m,) tensor."""
     log_q = ad.log_softmax_rows(scores, tau)
     q = ad.exp(log_q)
-    return ad.mul_scalar(ad.sum_axis(ad.mul(q, log_q), axis=1), -1.0)
+    return ad.mul_scalar(ad.tsum(ad.mul(q, log_q), axis=1), -1.0)
 
 
 def row_entropy(row, tau: float = 1.0) -> Tensor:

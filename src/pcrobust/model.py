@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .cloudio import BinaryReader, FormatError
 from .geometry import PointCloud
 from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
 
@@ -232,7 +233,7 @@ def neighbor_embed(
     feats = np.concatenate([rel, ctr], axis=2).reshape(anchors.size * g, 6)
     h = ad.relu(ad.linear(Tensor(feats), params.embed_w1, params.embed_b1))
     h = ad.linear(h, params.embed_w2, params.embed_b2)
-    return ad.max_pool_rows(h, g), anchors
+    return ad.max_axis(ad.reshape(h, (anchors.size, g, params.d_model)), axis=1), anchors
 
 
 def self_attention_layer(f_in: Tensor, layer: AttentionLayerParams, d_attn: int):
@@ -247,6 +248,13 @@ def self_attention_layer(f_in: Tensor, layer: AttentionLayerParams, d_attn: int)
     scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_attn))
     attended = ad.matmul(ad.softmax_rows(scores, 1.0), v)
     return ad.add(attended, f_in), scores
+
+
+def _pool_head(features: Tensor, params) -> Tensor:
+    """Global max pool of an (n, d) feature map, then the MLP head: (C,) logits."""
+    f_g = ad.reshape(ad.max_axis(features, axis=0), (1, features.data.shape[1]))
+    h = ad.relu(ad.linear(f_g, params.head_w1, params.head_b1))
+    return ad.reshape(ad.linear(h, params.head_w2, params.head_b2), (params.n_classes,))
 
 
 def forward(
@@ -269,22 +277,14 @@ def forward(
         stage_outputs.append(f)
         score_maps.append(scores)
     f_o = ad.matmul(ad.concat(stage_outputs, axis=1), params.w_o)
-    f_g = ad.reshape(ad.max_axis(f_o, axis=0), (1, params.d_model))
-    h = ad.relu(ad.linear(f_g, params.head_w1, params.head_b1))
-    logits = ad.linear(h, params.head_w2, params.head_b2)
-    logits = ad.reshape(logits, (params.n_classes,))
-    return ForwardTrace(logits, score_maps, f_o, anchors)
+    return ForwardTrace(_pool_head(f_o, params), score_maps, f_o, anchors)
 
 
 def baseline_forward(cloud: PointCloud, params: BaselineParams) -> ForwardTrace:
     """Per-point MLP, global max pool, head. No sampling, no attention."""
     h = ad.relu(ad.linear(Tensor(cloud.points), params.point_w1, params.point_b1))
     point_feats = ad.linear(h, params.point_w2, params.point_b2)
-    f_g = ad.reshape(ad.max_axis(point_feats, axis=0), (1, params.d_feat))
-    h2 = ad.relu(ad.linear(f_g, params.head_w1, params.head_b1))
-    logits = ad.linear(h2, params.head_w2, params.head_b2)
-    logits = ad.reshape(logits, (params.n_classes,))
-    return ForwardTrace(logits, [], point_feats, None)
+    return ForwardTrace(_pool_head(point_feats, params), [], point_feats, None)
 
 
 def _copy_params(params):
@@ -359,13 +359,8 @@ def save_checkpoint(path, params, sampler: SampleSpec | None = None) -> None:
     Path(path).write_bytes(b"".join(blob))
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(FormatError):
     """A checkpoint file that cannot be read; names the path and the reason."""
-
-    def __init__(self, path, reason: str):
-        super().__init__(f"{path}: {reason}")
-        self.path = path
-        self.reason = reason
 
 
 def load_checkpoint(path):
@@ -374,50 +369,27 @@ def load_checkpoint(path):
     Raises CheckpointFormatError for a bad magic, an unknown arch or
     sampler code, a truncated file, or trailing bytes.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(path, f"bad checkpoint magic {raw[:4]!r}")
-    off = 4
-
-    def take(n_bytes: int, what: str) -> int:
-        nonlocal off
-        if off + n_bytes > len(raw):
-            raise CheckpointFormatError(
-                path,
-                f"truncated: {what} needs {n_bytes} bytes at offset {off}, "
-                f"file has {len(raw)}",
-            )
-        off += n_bytes
-        return off - n_bytes
-
-    def unpack(fmt: str, what: str):
-        return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt), what))
-
-    (arch,) = unpack("<I", "arch code")
+    reader = BinaryReader(path, CHECKPOINT_MAGIC, CheckpointFormatError)
+    (arch,) = reader.unpack("<I", "arch code")
     if arch == _ARCH_ATTENTION:
         n_header = 7
     elif arch == _ARCH_BASELINE:
         n_header = 4
     else:
         raise CheckpointFormatError(path, f"unknown checkpoint arch code {arch}")
-    header = unpack(f"<{n_header}I", "header")
-    variant_code, samp_m, samp_k = unpack("<III", "sampler")
+    header = reader.unpack(f"<{n_header}I", "header")
+    variant_code, samp_m, samp_k = reader.unpack("<III", "sampler")
     if variant_code >= len(SAMPLER_VARIANTS):
         raise CheckpointFormatError(path, f"unknown sampler code {variant_code}")
     sampler = SampleSpec(m=samp_m, k=samp_k, variant=SAMPLER_VARIANTS[variant_code])
-    (n_tensors,) = unpack("<I", "tensor count")
+    (n_tensors,) = reader.unpack("<I", "tensor count")
     tensors = []
     for t in range(n_tensors):
-        (ndim,) = unpack("<I", f"tensor {t} rank")
-        dims = unpack(f"<{ndim}I", f"tensor {t} dims")
-        size = math.prod(dims)
-        start = take(size * 8, f"tensor {t} data")
-        data = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
+        (ndim,) = reader.unpack("<I", f"tensor {t} rank")
+        dims = reader.unpack(f"<{ndim}I", f"tensor {t} dims")
+        data = reader.array("<f8", math.prod(dims), f"tensor {t} data")
         tensors.append(Tensor(data.reshape(dims).copy(), requires_grad=True))
-    if off != len(raw):
-        raise CheckpointFormatError(
-            path, f"{len(raw) - off} trailing bytes after the last tensor"
-        )
+    reader.finish("last tensor")
     it = iter(tensors)
 
     if arch == _ARCH_ATTENTION:

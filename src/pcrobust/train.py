@@ -133,8 +133,6 @@ def _cloud_loss(cloud, params, config, rng):
 
 
 def predict(cloud, params, sampler=None, rng=None, fps_start=0) -> int:
-    if hasattr(params, "predict"):  # duck-typed stub classifiers in tests
-        return int(params.predict(cloud))
     if isinstance(params, BaselineParams):
         return baseline_forward(cloud, params).prediction
     return forward(cloud, params, sampler, rng, fps_start=fps_start).prediction

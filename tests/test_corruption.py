@@ -6,8 +6,8 @@ from pcrobust.corruption import (
     CorruptionSpec,
     apply_corruption,
     corruption_suite,
-    subseed,
 )
+from pcrobust.data import derive_seed
 from pcrobust.geometry import PointCloud, pairwise_distances
 
 from conftest import random_cloud
@@ -158,10 +158,9 @@ class TestSuite:
         for key in a:
             assert not np.array_equal(a[key], b[key])
 
-    def test_subseed_stable(self):
-        assert subseed(3, "scale", 2) == subseed(3, "scale", 2)
-        assert subseed(3, "scale", 2) != subseed(3, "scale", 3)
-        assert subseed(3, "scale", 2) != subseed(4, "scale", 2)
+    def test_suite_seeds_are_derive_seed(self):
+        suite = corruption_suite(random_cloud(5, n=64), ("scale", "impulse"), seed=3)
+        assert all(spec.seed == derive_seed(3, spec.kind, spec.severity) for spec, _ in suite)
 
 
 def dict_of_suite(suite):

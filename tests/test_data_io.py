@@ -80,6 +80,35 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             cloudio.read_binary(path)
 
+    def saved_bytes(self, tmp_path):
+        # 4 magic + 8 header + 5 x 12 points + 4 label = 76 bytes
+        path = tmp_path / "cloud.rpc"
+        cloudio.write_binary(random_cloud(6, n=5, label=2), path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("keep", [6, 40, 74], ids=["header", "points", "label"])
+    def test_truncated_file(self, tmp_path, keep):
+        path, raw = self.saved_bytes(tmp_path)
+        path.write_bytes(raw[:keep])
+        with pytest.raises(cloudio.CloudFormatError, match="truncated") as err:
+            cloudio.read_binary(path)
+        assert err.value.path == path
+        assert err.value.reason.startswith("truncated")
+
+    def test_trailing_bytes(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        path.write_bytes(raw + b"\0\0\0")
+        with pytest.raises(cloudio.CloudFormatError, match="3 trailing bytes") as err:
+            cloudio.read_binary(path)
+        assert isinstance(err.value, ValueError)
+        assert str(path) in str(err.value)
+
+    def test_bad_label_flag(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        path.write_bytes(raw[:8] + (2).to_bytes(4, "little") + raw[12:])
+        with pytest.raises(cloudio.CloudFormatError, match="label flag 2"):
+            cloudio.read_binary(path)
+
     def test_dispatch_by_content(self, tmp_path):
         cloud = random_cloud(4, n=6, label=1)
         bin_path = tmp_path / "a.rpc"

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -42,12 +43,16 @@ def tiny_config(**overrides):
     return TrainConfig(**defaults)
 
 
-class StubClassifier:
-    def __init__(self, fn):
-        self.fn = fn
+@pytest.fixture
+def stub_predict(monkeypatch):
+    """Make evaluate() predict with a plain function of the cloud."""
 
-    def predict(self, cloud):
-        return self.fn(cloud)
+    def install(fn):
+        # the package's ``evaluate`` attribute is the function, not the module
+        module = importlib.import_module("pcrobust.evaluate")
+        monkeypatch.setattr(module, "predict", lambda cloud, *args: fn(cloud))
+
+    return install
 
 
 class TestTrain:
@@ -112,27 +117,27 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_perfect_stub_all_zero(self):
+    def test_perfect_stub_all_zero(self, stub_predict):
         dataset = tiny_dataset(per_class=3, points=64)
-        stub = StubClassifier(lambda c: c.label)
-        report, log = evaluate(stub, dataset, kinds=("jitter-gaussian", "scale"))
+        stub_predict(lambda c: c.label)
+        report, log = evaluate(None, dataset, kinds=("jitter-gaussian", "scale"))
         assert report.er_clean == 0.0
         assert report.er_cor == 0.0
         assert all(v == 0.0 for v in report.per_cell.values())
 
-    def test_majority_stub_balanced_four_class(self):
+    def test_majority_stub_balanced_four_class(self, stub_predict):
         dataset = tiny_dataset(
             per_class=5, points=64, classes=("sphere", "cube", "plane", "torus")
         )
-        stub = StubClassifier(lambda c: 0)
-        report, _ = evaluate(stub, dataset, kinds=())
+        stub_predict(lambda c: 0)
+        report, _ = evaluate(None, dataset, kinds=())
         assert report.er_clean == 0.75
 
-    def test_aggregates_recompute_from_log(self):
+    def test_aggregates_recompute_from_log(self, stub_predict):
         dataset = tiny_dataset(per_class=2, points=64)
-        stub = StubClassifier(lambda c: int(c.points[0, 0] > 0))
+        stub_predict(lambda c: int(c.points[0, 0] > 0))
         kinds = ("jitter-gaussian", "drop-global")
-        report, log = evaluate(stub, dataset, kinds=kinds)
+        report, log = evaluate(None, dataset, kinds=kinds)
         # per-kind means over severities, then unweighted mean over kinds
         for kind in kinds:
             cells = [report.per_cell[(kind, s)] for s in range(1, 6)]
@@ -141,11 +146,11 @@ class TestEvaluate:
         rebuilt = report_from_log(log)
         assert rebuilt == report
 
-    def test_restricted_severities(self):
+    def test_restricted_severities(self, stub_predict):
         dataset = tiny_dataset(per_class=2, points=64)
-        stub = StubClassifier(lambda c: c.label)
+        stub_predict(lambda c: c.label)
         report, log = evaluate(
-            stub, dataset, kinds=("impulse",), severities=(3, 4, 5)
+            None, dataset, kinds=("impulse",), severities=(3, 4, 5)
         )
         assert set(report.per_cell) == {("impulse", s) for s in (3, 4, 5)}
 
