@@ -7,6 +7,7 @@ training/evaluation harness that measures robustness as error rates.
 
 from .autodiff import NonFiniteError, Tensor, backward, finite_diff_check
 from .cloudio import CloudFormatError
+from .config import ConfigError
 from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption, corruption_suite
 from .data import SyntheticDatasetSpec, gen_dataset
 from .evaluate import EvalReport, PredictionRecord, evaluate, report_from_log
@@ -51,6 +52,7 @@ __all__ = [
     "BaselineParams",
     "CheckpointFormatError",
     "CloudFormatError",
+    "ConfigError",
     "CorruptionSpec",
     "DensityProfile",
     "EvalReport",

@@ -1,12 +1,21 @@
 """Minimal dense-tensor reverse-mode differentiation.
 
-Tensors wrap float64 numpy arrays and record a pullback closure per
-operation (the tape is the implicit graph of ``_prev`` references).
+Tensors wrap float64 numpy arrays; the tape is the implicit graph of
+``_prev`` references. Every op makes one call, ``_result(data, parents,
+pullback)``: ``pullback(g)`` is a pure function of the output gradient
+that returns one gradient per parent, in parent order, and mutates
+nothing. ``backward`` alone accumulates those gradients into the parents
+that require them, in the deterministic reverse topological order of
+construction. Accumulation is out of place (``grad + g``, never
+``grad += g``) because a pullback may hand the same array, or views of
+it, to several parents, as ``add`` and ``concat`` do. A pullback closes
+over the op's inputs, never over its output tensor, so a dropped graph is
+freed by reference counting alone.
+
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank; the one broadcast is
 ``linear``'s bias. Every op validates that its result is finite and raises
-NonFiniteError otherwise. Gradient accumulation order is the deterministic
-reverse topological order of construction.
+NonFiniteError otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ class NonFiniteError(ArithmeticError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_pullback", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -28,7 +37,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
-        self._backward = None
+        self._pullback = None
         self._prev = ()
 
     def item(self) -> float:
@@ -38,7 +47,7 @@ class Tensor:
         self.grad = None
 
 
-def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
+def _result(data: np.ndarray, parents, pullback) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
@@ -46,13 +55,8 @@ def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
     out.grad = None
     out.requires_grad = any(p.requires_grad for p in parents)
     out._prev = tuple(parents) if out.requires_grad else ()
-    out._backward = backward_fn if out.requires_grad else None
+    out._pullback = pullback if out.requires_grad else None
     return out
-
-
-def _accum(t: Tensor, g: np.ndarray):
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor):
@@ -78,9 +82,12 @@ def backward(loss: Tensor):
                 stack.append((p, False))
     loss.grad = np.ones(())
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
-    return {t: t.grad for t in order if t._backward is None}
+        if node._pullback is None:
+            continue
+        for p, g in zip(node._prev, node._pullback(node.grad)):
+            if p.requires_grad:
+                p.grad = g if p.grad is None else p.grad + g
+    return {t: t.grad for t in order if t._pullback is None}
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +97,7 @@ def backward(loss: Tensor):
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch {a.data.shape} vs {b.data.shape}")
-    out = _result(a.data + b.data, (a, b), None)
-
-    def _bw():
-        _accum(a, out.grad)
-        _accum(b, out.grad)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -105,84 +105,44 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
     with np.errstate(over="ignore"):
         data = a.data * b.data
-    out = _result(data, (a, b), None)
-
-    def _bw():
-        _accum(a, b.data * out.grad)
-        _accum(b, a.data * out.grad)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(data, (a, b), lambda g: (b.data * g, a.data * g))
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = _result(a.data * c, (a,), None)
-
-    def _bw():
-        _accum(a, c * out.grad)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(a.data * c, (a,), lambda g: (c * g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     # overflow/inf-minus-inf surface as NonFiniteError from the result check
     with np.errstate(over="ignore", invalid="ignore"):
         data = a.data @ b.data
-    out = _result(data, (a, b), None)
-
-    def _bw():
-        _accum(a, out.grad @ b.data.T)
-        _accum(b, a.data.T @ out.grad)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = _result(a.data.T.copy(), (a,), None)
-
-    def _bw():
-        _accum(a, out.grad.T)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _result(a.data.reshape(shape).copy(), (a,), None)
-
-    def _bw():
-        _accum(a, out.grad.reshape(a.data.shape))
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    data = a.data.reshape(shape).copy()
+    return _result(data, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, None)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    lead = (slice(None),) * axis
 
-    def _bw():
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = (slice(None),) * axis + (slice(start, stop),)
-            _accum(t, out.grad[sl])
+    def pullback(g):
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return _result(data, tensors, pullback)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = _result(np.maximum(a.data, 0.0), (a,), None)
-
-    def _bw():
-        _accum(a, (a.data > 0.0) * out.grad)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(np.maximum(a.data, 0.0), (a,), lambda g: ((a.data > 0.0) * g,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -191,62 +151,41 @@ def log(a: Tensor) -> Tensor:
             data = np.log(a.data)
         except FloatingPointError as exc:
             raise NonFiniteError("log of non-positive value") from exc
-    out = _result(data, (a,), None)
-
-    def _bw():
-        _accum(a, out.grad / a.data)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(data, (a,), lambda g: (g / a.data,))
 
 
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow -> inf -> NonFiniteError
         data = np.exp(a.data)
-    out = _result(data, (a,), None)
-
-    def _bw():
-        _accum(a, out.data * out.grad)
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(data, (a,), lambda g: (data * g,))
 
 
 def mean(a: Tensor) -> Tensor:
-    out = _result(np.asarray(a.data.mean()), (a,), None)
     size = a.data.size
-
-    def _bw():
-        _accum(a, np.full(a.data.shape, float(out.grad) / size))
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    data = np.asarray(a.data.mean())
+    return _result(data, (a,), lambda g: (np.full(a.data.shape, float(g) / size),))
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over every entry when ``axis`` is None."""
     kept = a.data.sum(axis=axis, keepdims=True)
-    out = _result(kept.squeeze(axis), (a,), None)
-
-    def _bw():
-        _accum(a, np.broadcast_to(out.grad.reshape(kept.shape), a.data.shape).copy())
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(
+        kept.squeeze(axis),
+        (a,),
+        lambda g: (np.broadcast_to(g.reshape(kept.shape), a.data.shape).copy(),),
+    )
 
 
 def max_axis(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; the gradient routes to the first argmax."""
     amax = a.data.argmax(axis=axis, keepdims=True)
-    out = _result(a.data.max(axis=axis), (a,), None)
 
-    def _bw():
-        g = np.zeros_like(a.data)
-        np.put_along_axis(g, amax, np.expand_dims(out.grad, axis), axis=axis)
-        _accum(a, g)
+    def pullback(g):
+        grad = np.zeros_like(a.data)
+        np.put_along_axis(grad, amax, np.expand_dims(g, axis), axis=axis)
+        return (grad,)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(a.data.max(axis=axis), (a,), pullback)
 
 
 def softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
@@ -256,15 +195,12 @@ def softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
     z = (x.data - x.data.max(axis=1, keepdims=True)) / tau
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
-    out = _result(y, (x,), None)
 
-    def _bw():
-        g = out.grad
+    def pullback(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(x, y * (g - dot) / tau)
+        return (y * (g - dot) / tau,)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(y, (x,), pullback)
 
 
 def log_softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
@@ -274,15 +210,12 @@ def log_softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
     z = (x.data - x.data.max(axis=1, keepdims=True)) / tau
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     y = z - lse
-    out = _result(y, (x,), None)
 
-    def _bw():
-        g = out.grad
+    def pullback(g):
         p = np.exp(y)
-        _accum(x, (g - p * g.sum(axis=1, keepdims=True)) / tau)
+        return ((g - p * g.sum(axis=1, keepdims=True)) / tau,)
 
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(y, (x,), pullback)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -292,15 +225,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if data.ndim != 2 or b.data.shape != (data.shape[1],):
             raise ValueError(f"bias shape {b.data.shape} does not fit {data.shape}")
         data += b.data
-    out = _result(data, (x, w, b), None)
-
-    def _bw():
-        _accum(x, out.grad @ w.data.T)
-        _accum(w, x.data.T @ out.grad)
-        _accum(b, out.grad.sum(axis=0))
-
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _result(data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def finite_diff_check(f, x: Tensor, eps: float = 1e-4) -> float:

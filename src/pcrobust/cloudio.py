@@ -22,7 +22,7 @@ MAGIC = b"RPC1"
 
 
 class FormatError(ValueError):
-    """A binary file that cannot be read; names the path and the reason."""
+    """A file that cannot be read; names the path and the reason."""
 
     def __init__(self, path, reason: str):
         super().__init__(f"{path}: {reason}")
@@ -31,7 +31,7 @@ class FormatError(ValueError):
 
 
 class CloudFormatError(FormatError):
-    """An RPC1 point-cloud file that cannot be read."""
+    """An RPC1 or XYZ point-cloud file that cannot be read."""
 
 
 class BinaryReader:
@@ -84,23 +84,26 @@ def write_xyz(cloud: PointCloud, path) -> None:
 
 
 def read_xyz(path) -> PointCloud:
+    """Raises CloudFormatError naming the line for a line without 3 fields,
+    a non-numeric coordinate or label, and for a file without points."""
     label = None
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if len(fields) == 2 and fields[0] == "label":
-                label = int(fields[1])
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 coordinates per line, got: {line!r}")
-        rows.append([float(v) for v in parts])
+        try:
+            if line.startswith("#"):
+                fields = line[1:].split()
+                if len(fields) == 2 and fields[0] == "label":
+                    label = int(fields[1])
+            elif line:
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ValueError(f"expected 3 coordinates, got {len(parts)} fields")
+                rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise CloudFormatError(path, f"line {lineno}: {exc}") from exc
     if not rows:
-        raise ValueError(f"no points found in {path}")
+        raise CloudFormatError(path, "no points found")
     return PointCloud(np.array(rows), label)
 
 
@@ -115,12 +118,14 @@ def write_binary(cloud: PointCloud, path) -> None:
 
 
 def read_binary(path) -> PointCloud:
-    """Raises CloudFormatError for a bad magic or label flag, a truncated
-    file, or trailing bytes."""
+    """Raises CloudFormatError for a bad magic or label flag, a point count
+    of 0, a truncated file, or trailing bytes."""
     reader = BinaryReader(path, MAGIC, CloudFormatError)
     n, label_flag = reader.unpack("<II", "point count and label flag")
     if label_flag not in (0, 1):
         raise CloudFormatError(path, f"label flag {label_flag} is not 0 or 1")
+    if n == 0:
+        raise CloudFormatError(path, "point count 0")
     pts = reader.array("<f4", n * 3, "points").reshape(n, 3).astype(np.float64)
     label = reader.unpack("<I", "label")[0] if label_flag else None
     reader.finish("cloud")

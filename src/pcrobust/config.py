@@ -62,11 +62,23 @@ DEFAULTS = {
 }
 
 
+class ConfigError(ValueError):
+    """A run config with keys that no setting reads."""
+
+
+def _merged(cfg: dict) -> dict:
+    """The config over DEFAULTS; raises ConfigError for any unknown key."""
+    unknown = sorted(set(cfg) - set(DEFAULTS) - {"sem_layers"})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    return {**DEFAULTS, **cfg}
+
+
 def build_dataset_specs(cfg: dict):
     """(train spec, test spec) from config keys; test uses a derived seed."""
     from .data import derive_seed
 
-    merged = {**DEFAULTS, **cfg}
+    merged = _merged(cfg)
     classes = tuple(c.strip() for c in merged["classes"].split(",") if c.strip())
     base = dict(
         classes=classes,
@@ -85,7 +97,7 @@ def build_dataset_specs(cfg: dict):
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    merged = {**DEFAULTS, **cfg}
+    merged = _merged(cfg)
     n_layers = int(merged["n_layers"])
     sampler = SampleSpec(
         m=int(merged["m_anchors"]),

@@ -11,6 +11,7 @@ the entropy objectives can reach them.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -356,7 +357,15 @@ def save_checkpoint(path, params, sampler: SampleSpec | None = None) -> None:
         dims = t.data.shape
         blob.append(struct.pack(f"<I{len(dims)}I", len(dims), *dims))
         blob.append(t.data.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(blob))
+    # a sibling temp file replaced over the target: an interrupted save
+    # leaves the previous checkpoint whole
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(b"".join(blob))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class CheckpointFormatError(FormatError):
@@ -366,8 +375,11 @@ class CheckpointFormatError(FormatError):
 def load_checkpoint(path):
     """Returns (params, sampler spec recorded at save time).
 
-    Raises CheckpointFormatError for a bad magic, an unknown arch or
-    sampler code, a truncated file, or trailing bytes.
+    The header's fields give the tensor count and shapes, through the
+    same ``init_model``/``init_baseline`` that training uses. Raises
+    CheckpointFormatError for a bad magic, an unknown arch or sampler
+    code, a zero header field, a tensor count or shape other than the
+    header gives, non-finite values, a truncated file, or trailing bytes.
     """
     reader = BinaryReader(path, CHECKPOINT_MAGIC, CheckpointFormatError)
     (arch,) = reader.unpack("<I", "arch code")
@@ -378,39 +390,35 @@ def load_checkpoint(path):
     else:
         raise CheckpointFormatError(path, f"unknown checkpoint arch code {arch}")
     header = reader.unpack(f"<{n_header}I", "header")
+    if 0 in header:
+        raise CheckpointFormatError(path, f"header fields {header} include 0")
     variant_code, samp_m, samp_k = reader.unpack("<III", "sampler")
     if variant_code >= len(SAMPLER_VARIANTS):
         raise CheckpointFormatError(path, f"unknown sampler code {variant_code}")
     sampler = SampleSpec(m=samp_m, k=samp_k, variant=SAMPLER_VARIANTS[variant_code])
-    (n_tensors,) = reader.unpack("<I", "tensor count")
-    tensors = []
-    for t in range(n_tensors):
-        (ndim,) = reader.unpack("<I", f"tensor {t} rank")
-        dims = reader.unpack(f"<{ndim}I", f"tensor {t} dims")
-        data = reader.array("<f8", math.prod(dims), f"tensor {t} data")
-        tensors.append(Tensor(data.reshape(dims).copy(), requires_grad=True))
-    reader.finish("last tensor")
-    it = iter(tensors)
-
+    # the initial values are only placeholders for the stored ones
+    rng = np.random.default_rng(0)
     if arch == _ARCH_ATTENTION:
-        n_classes, m_anchors, d_model, d_attn, group_k, n_layers, _ = header
-        embed = [next(it) for _ in range(4)]
-        layers = [
-            AttentionLayerParams(next(it), next(it), next(it))
-            for _ in range(n_layers)
-        ]
-        rest = list(it)
-        params = ModelParams(
-            n_classes,
-            m_anchors,
-            d_model,
-            d_attn,
-            group_k,
-            *embed,
-            layers,
-            *rest,
-        )
+        params = init_model(rng, *header)
     else:
-        n_classes, d_feat, _, _ = header
-        params = BaselineParams(n_classes, d_feat, *list(it))
+        n_classes, d_feat, hidden, head_hidden = header
+        params = init_baseline(rng, n_classes, hidden, d_feat, head_hidden)
+    tensors = params.tensors()
+    (n_tensors,) = reader.unpack("<I", "tensor count")
+    if n_tensors != len(tensors):
+        raise CheckpointFormatError(
+            path, f"{n_tensors} tensors, the header gives {len(tensors)}"
+        )
+    for i, t in enumerate(tensors):
+        (ndim,) = reader.unpack("<I", f"tensor {i} rank")
+        dims = reader.unpack(f"<{ndim}I", f"tensor {i} dims")
+        if dims != t.data.shape:
+            raise CheckpointFormatError(
+                path, f"tensor {i} has shape {dims}, the header gives {t.data.shape}"
+            )
+        data = reader.array("<f8", t.data.size, f"tensor {i} data")
+        if not np.isfinite(data).all():
+            raise CheckpointFormatError(path, f"tensor {i} has non-finite values")
+        t.data = data.reshape(dims).astype(np.float64)
+    reader.finish("last tensor")
     return params, sampler

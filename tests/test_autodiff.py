@@ -1,4 +1,6 @@
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +82,31 @@ class TestBackwardBasics:
         loss = ad.tsum(ad.add(x, x))
         grads = backward(loss)
         assert np.array_equal(grads[x], 2 * np.ones((2, 2)))
+
+    def test_shared_pullback_output_is_not_mutated(self):
+        # add hands one array to both parents; a's second contribution (from
+        # mul) must not leak into b's gradient through that shared array
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        c = Tensor(rng.standard_normal((3, 2)))
+        grads = backward(ad.tsum(ad.add(ad.add(a, b), ad.mul(a, c))))
+        assert np.array_equal(grads[b], np.ones((3, 2)))
+        assert np.array_equal(grads[a], 1.0 + c.data)
+
+    def test_graph_is_freed_without_the_cycle_collector(self):
+        # a pullback that captured its own output would keep every
+        # intermediate array alive until the cycle collector ran
+        gc.disable()
+        try:
+            x = Tensor(np.ones((3, 3)), requires_grad=True)
+            y = ad.exp(ad.relu(ad.mul_scalar(x, 2.0)))
+            probe = weakref.ref(y.data)
+            backward(ad.tsum(y))
+            del y
+            assert probe() is None
+        finally:
+            gc.enable()
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -189,6 +216,15 @@ def test_every_op_has_a_case():
     covered = {name.split("[")[0] for name, _, _ in op_cases(0)}
     assert _public_ops() - covered == set()
     assert covered - _public_ops() == set()
+
+
+def test_constant_parents_get_no_grad():
+    for name, f, x in op_cases(0):
+        constants = [
+            v for v in inspect.getclosurevars(f).nonlocals.values() if isinstance(v, Tensor)
+        ]
+        backward(f(Tensor(x, requires_grad=True)))
+        assert all(c.grad is None for c in constants), name
 
 
 class TestFiniteDifferences:

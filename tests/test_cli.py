@@ -7,7 +7,7 @@ import pytest
 
 from pcrobust import cloudio
 from pcrobust.cli import main
-from pcrobust.config import expand_grid, parse_flat_file
+from pcrobust.config import ConfigError, build_train_config, expand_grid, parse_flat_file
 
 from conftest import random_cloud
 
@@ -217,3 +217,15 @@ class TestConfigParsing:
     def test_expand_grid_no_axes(self):
         keys, combos = expand_grid({"a": "1"})
         assert keys == [] and combos == [{"a": "1"}]
+
+    def test_unknown_key_is_an_error(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys \['lamda'\]"):
+            build_train_config({"lamda": "0.5"})
+
+    def test_train_rejects_misspelled_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG + "lamda = 0.5\n")
+        ckpt = tmp_path / "model.ckpt"
+        with pytest.raises(ConfigError, match="lamda"):
+            main(["train", "--config", str(cfg), "--out", str(ckpt)])
+        assert not ckpt.exists()

@@ -48,6 +48,24 @@ class TestXyzFormat:
         with pytest.raises(ValueError):
             cloudio.read_xyz(path)
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0 0 0\n1 2\n", "line 2: expected 3 coordinates, got 2 fields"),
+            ("0 0 0\n\n1 two 3\n", "line 3: could not convert string to float"),
+            ("# label x\n0 0 0\n", "line 1: invalid literal for int()"),
+            ("# only a comment\n", "no points found"),
+        ],
+        ids=["fields", "non-numeric", "label", "empty"],
+    )
+    def test_error_names_path_and_line(self, tmp_path, text, reason):
+        path = tmp_path / "bad.xyz"
+        path.write_text(text)
+        with pytest.raises(cloudio.CloudFormatError) as err:
+            cloudio.read_xyz(path)
+        assert err.value.path == path
+        assert err.value.reason.startswith(reason)
+
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
@@ -108,6 +126,13 @@ class TestBinaryFormat:
         path.write_bytes(raw[:8] + (2).to_bytes(4, "little") + raw[12:])
         with pytest.raises(cloudio.CloudFormatError, match="label flag 2"):
             cloudio.read_binary(path)
+
+    def test_zero_point_count(self, tmp_path):
+        path = tmp_path / "empty.rpc"
+        path.write_bytes(b"RPC1" + bytes(8))
+        with pytest.raises(cloudio.CloudFormatError, match="point count 0") as err:
+            cloudio.read_binary(path)
+        assert err.value.path == path
 
     def test_dispatch_by_content(self, tmp_path):
         cloud = random_cloud(4, n=6, label=1)

@@ -304,3 +304,62 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert isinstance(err.value, ValueError)
         assert str(path) in str(err.value)
+
+    # 4 magic + 4 arch + 7 x 4 header + 3 x 4 sampler, then the tensor count
+    COUNT_AT = 48
+
+    def test_tensor_count_checked_against_header(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        # drop the last tensor (head_b2: rank, 1 dim, 3 f64) and count 20
+        last = 4 + 4 + 3 * 8
+        body = raw[: self.COUNT_AT] + (20).to_bytes(4, "little") + raw[self.COUNT_AT + 4 :]
+        path.write_bytes(body[:-last])
+        with pytest.raises(CheckpointFormatError, match="20 tensors, the header gives 21"):
+            load_checkpoint(path)
+
+    def test_tensor_shape_checked_against_header(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        # header field 4 is d_attn (4); say 5, leaving the tensors as saved
+        at = 4 + 4 + 3 * 4
+        path.write_bytes(raw[:at] + (5).to_bytes(4, "little") + raw[at + 4 :])
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.reason == "tensor 4 has shape (16, 4), the header gives (16, 5)"
+
+    def test_zero_header_field(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        path.write_bytes(raw[:12] + bytes(4) + raw[16:])
+        with pytest.raises(CheckpointFormatError, match="include 0"):
+            load_checkpoint(path)
+
+    def test_non_finite_values(self, tmp_path):
+        path, raw = self.saved_bytes(tmp_path)
+        # first value of tensor 0, after its rank and its two dims
+        at = self.COUNT_AT + 4 + 4 + 8
+        path.write_bytes(raw[:at] + np.array([np.nan], "<f8").tobytes() + raw[at + 8 :])
+        with pytest.raises(CheckpointFormatError, match="tensor 0 has non-finite values"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path, raw = self.saved_bytes(tmp_path)
+
+        class Unserializable(np.ndarray):
+            def tobytes(self, *args, **kwargs):
+                raise RuntimeError("tobytes failed")
+
+        params = mini_params(14)
+        params.head_b2.data = params.head_b2.data.view(Unserializable)
+        with pytest.raises(RuntimeError, match="tobytes failed"):
+            save_checkpoint(path, params)
+        assert path.read_bytes() == raw
+
+        def half_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(path), "write_bytes", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, mini_params(14))
+        assert path.read_bytes() == raw
+        assert list(tmp_path.iterdir()) == [path]
