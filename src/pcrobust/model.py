@@ -362,7 +362,10 @@ def save_checkpoint(path, params, sampler: SampleSpec | None = None) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(b"".join(blob))
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(blob))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -372,14 +375,30 @@ class CheckpointFormatError(FormatError):
     """A checkpoint file that cannot be read; names the path and the reason."""
 
 
+def _checkpoint_shapes(arch, header) -> list:
+    """The tensor shapes ``init_model``/``init_baseline`` build from a
+    checkpoint header, in ``tensors()`` order, without allocating them."""
+    if arch == _ARCH_ATTENTION:
+        n_classes, _, d, d_attn, _, n_layers, hh = header
+        embed = [(6, d), (d,), (d, d), (d,)]
+        layers = [(d, d_attn), (d, d_attn), (d, d)] * n_layers
+        rest = [(n_layers * d, d), (d, hh), (hh,), (hh, n_classes), (n_classes,)]
+        return embed + layers + rest
+    n_classes, d_feat, hidden, hh = header
+    point = [(3, hidden), (hidden,), (hidden, d_feat), (d_feat,)]
+    return point + [(d_feat, hh), (hh,), (hh, n_classes), (n_classes,)]
+
+
 def load_checkpoint(path):
     """Returns (params, sampler spec recorded at save time).
 
-    The header's fields give the tensor count and shapes, through the
-    same ``init_model``/``init_baseline`` that training uses. Raises
-    CheckpointFormatError for a bad magic, an unknown arch or sampler
-    code, a zero header field, a tensor count or shape other than the
-    header gives, non-finite values, a truncated file, or trailing bytes.
+    The stored tensors are read first, so memory stays bounded by the
+    file's size; their count and shapes must then be the ones
+    ``init_model``/``init_baseline`` build from the header's fields.
+    Raises CheckpointFormatError for a bad magic, an unknown arch or
+    sampler code, a zero header field, a truncated file, trailing bytes,
+    a tensor count or shape other than the header gives, or non-finite
+    values.
     """
     reader = BinaryReader(path, CHECKPOINT_MAGIC, CheckpointFormatError)
     (arch,) = reader.unpack("<I", "arch code")
@@ -396,29 +415,35 @@ def load_checkpoint(path):
     if variant_code >= len(SAMPLER_VARIANTS):
         raise CheckpointFormatError(path, f"unknown sampler code {variant_code}")
     sampler = SampleSpec(m=samp_m, k=samp_k, variant=SAMPLER_VARIANTS[variant_code])
-    # the initial values are only placeholders for the stored ones
+    (n_tensors,) = reader.unpack("<I", "tensor count")
+    stored = []
+    for i in range(n_tensors):
+        (ndim,) = reader.unpack("<I", f"tensor {i} rank")
+        dims = reader.unpack(f"<{ndim}I", f"tensor {i} dims")
+        data = reader.array("<f8", math.prod(dims), f"tensor {i} data")
+        stored.append(data.reshape(dims))
+    reader.finish("last tensor")
+    # the count first: the header's layer count sizes the shape list
+    n_expected = 9 + 3 * header[5] if arch == _ARCH_ATTENTION else 8
+    if n_tensors != n_expected:
+        raise CheckpointFormatError(
+            path, f"{n_tensors} tensors, the header gives {n_expected}"
+        )
+    for i, (data, shape) in enumerate(zip(stored, _checkpoint_shapes(arch, header))):
+        if data.shape != shape:
+            raise CheckpointFormatError(
+                path, f"tensor {i} has shape {data.shape}, the header gives {shape}"
+            )
+        if not np.isfinite(data).all():
+            raise CheckpointFormatError(path, f"tensor {i} has non-finite values")
+    # the shapes match, so the template is no larger than the file; its
+    # initial values are only placeholders for the stored ones
     rng = np.random.default_rng(0)
     if arch == _ARCH_ATTENTION:
         params = init_model(rng, *header)
     else:
         n_classes, d_feat, hidden, head_hidden = header
         params = init_baseline(rng, n_classes, hidden, d_feat, head_hidden)
-    tensors = params.tensors()
-    (n_tensors,) = reader.unpack("<I", "tensor count")
-    if n_tensors != len(tensors):
-        raise CheckpointFormatError(
-            path, f"{n_tensors} tensors, the header gives {len(tensors)}"
-        )
-    for i, t in enumerate(tensors):
-        (ndim,) = reader.unpack("<I", f"tensor {i} rank")
-        dims = reader.unpack(f"<{ndim}I", f"tensor {i} dims")
-        if dims != t.data.shape:
-            raise CheckpointFormatError(
-                path, f"tensor {i} has shape {dims}, the header gives {t.data.shape}"
-            )
-        data = reader.array("<f8", t.data.size, f"tensor {i} data")
-        if not np.isfinite(data).all():
-            raise CheckpointFormatError(path, f"tensor {i} has non-finite values")
-        t.data = data.reshape(dims).astype(np.float64)
-    reader.finish("last tensor")
+    for t, data in zip(params.tensors(), stored):
+        t.data = data.astype(np.float64)
     return params, sampler

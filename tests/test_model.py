@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -262,6 +265,42 @@ class TestCheckpoint:
         for a, b in zip(params.tensors(), loaded.tensors()):
             assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: init_model(rng, 2, 5, d_model=7, d_attn=3, group_k=2, n_layers=1),
+            lambda rng: init_model(rng, 4, d_model=6, d_attn=5, n_layers=3, head_hidden=9),
+            lambda rng: init_baseline(rng, 3, hidden=5, d_feat=4, head_hidden=11),
+        ],
+    )
+    def test_round_trip_other_shapes(self, tmp_path, make):
+        params = make(np.random.default_rng(5))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path)
+        assert [t.data.shape for t in loaded.tensors()] == [
+            t.data.shape for t in params.tensors()
+        ]
+        for a, b in zip(params.tensors(), loaded.tensors()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_save_syncs_before_replace(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(tmp_path / "model.ckpt", mini_params(15))
+        assert calls == ["fsync", "replace"]
+
     def test_save_is_deterministic(self, tmp_path):
         params = mini_params(12)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -326,6 +365,24 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.reason == "tensor 4 has shape (16, 4), the header gives (16, 5)"
 
+    # header fields start after magic and arch: d_model is field 2, n_layers 5
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            (5, "21 tensors, the header gives 6442450953"),
+            (2, "tensor 0 has shape (6, 16), the header gives (6, 2147483648)"),
+        ],
+    )
+    def test_huge_header_field_allocates_nothing(self, tmp_path, field, reason):
+        path, raw = self.saved_bytes(tmp_path)
+        at = 8 + 4 * field
+        path.write_bytes(raw[:at] + (2**31).to_bytes(4, "little") + raw[at + 4 :])
+        start = time.perf_counter()
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.reason == reason
+        assert time.perf_counter() - start < 5.0
+
     def test_zero_header_field(self, tmp_path):
         path, raw = self.saved_bytes(tmp_path)
         path.write_bytes(raw[:12] + bytes(4) + raw[16:])
@@ -353,12 +410,10 @@ class TestCheckpoint:
             save_checkpoint(path, params)
         assert path.read_bytes() == raw
 
-        def half_write(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[: len(data) // 2])
+        def failing_fsync(fd):
             raise OSError("disk full")
 
-        monkeypatch.setattr(type(path), "write_bytes", half_write)
+        monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, mini_params(14))
         assert path.read_bytes() == raw
