@@ -178,9 +178,9 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
 
 def max_axis(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; the gradient routes to the first argmax."""
-    amax = a.data.argmax(axis=axis, keepdims=True)
 
     def pullback(g):
+        amax = a.data.argmax(axis=axis, keepdims=True)
         grad = np.zeros_like(a.data)
         np.put_along_axis(grad, amax, np.expand_dims(g, axis), axis=axis)
         return (grad,)

@@ -11,6 +11,7 @@ Two interchange formats:
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -84,11 +85,16 @@ def write_xyz(cloud: PointCloud, path) -> None:
 
 
 def read_xyz(path) -> PointCloud:
-    """Raises CloudFormatError naming the line for a line without 3 fields,
-    a non-numeric coordinate or label, and for a file without points."""
+    """Raises CloudFormatError for a file that is not UTF-8 text, naming the
+    line for a line without 3 fields, a non-numeric or non-finite coordinate
+    or a non-numeric label, and for a file without points."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CloudFormatError(path, f"not UTF-8 text: {exc}") from exc
     label = None
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         try:
             if line.startswith("#"):
@@ -99,7 +105,10 @@ def read_xyz(path) -> PointCloud:
                 parts = line.split()
                 if len(parts) != 3:
                     raise ValueError(f"expected 3 coordinates, got {len(parts)} fields")
-                rows.append([float(v) for v in parts])
+                coords = [float(v) for v in parts]
+                if not all(map(math.isfinite, coords)):
+                    raise ValueError(f"non-finite coordinate in {line!r}")
+                rows.append(coords)
         except ValueError as exc:
             raise CloudFormatError(path, f"line {lineno}: {exc}") from exc
     if not rows:
@@ -119,16 +128,20 @@ def write_binary(cloud: PointCloud, path) -> None:
 
 def read_binary(path) -> PointCloud:
     """Raises CloudFormatError for a bad magic or label flag, a point count
-    of 0, a truncated file, or trailing bytes."""
+    of 0, a truncated file, trailing bytes, or a non-finite coordinate."""
     reader = BinaryReader(path, MAGIC, CloudFormatError)
     n, label_flag = reader.unpack("<II", "point count and label flag")
     if label_flag not in (0, 1):
         raise CloudFormatError(path, f"label flag {label_flag} is not 0 or 1")
     if n == 0:
         raise CloudFormatError(path, "point count 0")
-    pts = reader.array("<f4", n * 3, "points").reshape(n, 3).astype(np.float64)
+    pts = reader.array("<f4", n * 3, "points").reshape(n, 3)
     label = reader.unpack("<I", "label")[0] if label_flag else None
     reader.finish("cloud")
+    finite = np.isfinite(pts).all(axis=1)  # before any cast: a NaN cast can warn
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise CloudFormatError(path, f"point {first} has a non-finite coordinate")
     return PointCloud(pts, label)
 
 

@@ -396,9 +396,9 @@ def load_checkpoint(path):
     file's size; their count and shapes must then be the ones
     ``init_model``/``init_baseline`` build from the header's fields.
     Raises CheckpointFormatError for a bad magic, an unknown arch or
-    sampler code, a zero header field, a truncated file, trailing bytes,
-    a tensor count or shape other than the header gives, or non-finite
-    values.
+    sampler code, a sampler m or k of 0, a zero header field, a truncated
+    file, trailing bytes, a tensor count or shape other than the header
+    gives, or non-finite values.
     """
     reader = BinaryReader(path, CHECKPOINT_MAGIC, CheckpointFormatError)
     (arch,) = reader.unpack("<I", "arch code")
@@ -414,14 +414,16 @@ def load_checkpoint(path):
     variant_code, samp_m, samp_k = reader.unpack("<III", "sampler")
     if variant_code >= len(SAMPLER_VARIANTS):
         raise CheckpointFormatError(path, f"unknown sampler code {variant_code}")
-    sampler = SampleSpec(m=samp_m, k=samp_k, variant=SAMPLER_VARIANTS[variant_code])
+    try:
+        sampler = SampleSpec(m=samp_m, k=samp_k, variant=SAMPLER_VARIANTS[variant_code])
+    except ValueError as exc:
+        raise CheckpointFormatError(path, f"sampler: {exc}") from exc
     (n_tensors,) = reader.unpack("<I", "tensor count")
     stored = []
     for i in range(n_tensors):
         (ndim,) = reader.unpack("<I", f"tensor {i} rank")
         dims = reader.unpack(f"<{ndim}I", f"tensor {i} dims")
-        data = reader.array("<f8", math.prod(dims), f"tensor {i} data")
-        stored.append(data.reshape(dims))
+        stored.append((dims, reader.array("<f8", math.prod(dims), f"tensor {i} data")))
     reader.finish("last tensor")
     # the count first: the header's layer count sizes the shape list
     n_expected = 9 + 3 * header[5] if arch == _ARCH_ATTENTION else 8
@@ -429,10 +431,13 @@ def load_checkpoint(path):
         raise CheckpointFormatError(
             path, f"{n_tensors} tensors, the header gives {n_expected}"
         )
-    for i, (data, shape) in enumerate(zip(stored, _checkpoint_shapes(arch, header))):
-        if data.shape != shape:
+    # dims are checked before any reshape: a 0 dim beside huge ones holds
+    # no data but has no valid numpy shape
+    shapes = _checkpoint_shapes(arch, header)
+    for i, ((dims, data), shape) in enumerate(zip(stored, shapes)):
+        if dims != shape:
             raise CheckpointFormatError(
-                path, f"tensor {i} has shape {data.shape}, the header gives {shape}"
+                path, f"tensor {i} has shape {dims}, the header gives {shape}"
             )
         if not np.isfinite(data).all():
             raise CheckpointFormatError(path, f"tensor {i} has non-finite values")
@@ -444,6 +449,6 @@ def load_checkpoint(path):
     else:
         n_classes, d_feat, hidden, head_hidden = header
         params = init_baseline(rng, n_classes, hidden, d_feat, head_hidden)
-    for t, data in zip(params.tensors(), stored):
-        t.data = data.astype(np.float64)
+    for t, (dims, data) in zip(params.tensors(), stored):
+        t.data = data.reshape(dims).astype(np.float64)
     return params, sampler

@@ -108,11 +108,14 @@ def density_profile(cloud: PointCloud, k: int, variant: str = "l0") -> DensityPr
 
 
 def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generator):
-    """Draw m distinct indices by repeated renormalized weighted draws.
+    """Draw m distinct indices with the law of m successive renormalized draws.
 
-    Each draw is proportional to the remaining (conditionally renormalized)
-    weights; zero-weight entries are never selected. Raises
-    InfeasibleSampleError when fewer than m entries have positive weight.
+    Zero-weight entries are never selected. The draw is one Gumbel-top-k key
+    per entry, ``log(w) - log(-log(u))`` from one uniform u each (Efraimidis
+    & Spirakis 2006; Kool et al. 2019); the log form keeps a denormal
+    weight's key finite. A seed draws other indices than the earlier m-step
+    loop did. Raises InfeasibleSampleError when fewer than m entries have
+    positive weight.
     """
     w = np.array(weights, dtype=np.float64)
     if (w < 0).any():
@@ -122,15 +125,11 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
         raise InfeasibleSampleError(
             f"cannot draw {m} distinct indices from {positive} positive-weight entries"
         )
-    chosen = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        cum = np.cumsum(w)
-        u = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, u, side="right"))
-        idx = min(idx, len(w) - 1)
-        chosen[i] = idx
-        w[idx] = 0.0
-    return chosen
+    u = 1.0 - rng.random(w.size)
+    # zero weights take log(0) before where() drops them; u == 1 keys +inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.where(w > 0, np.log(w) - np.log(-np.log(u)), -np.inf)
+    return np.argsort(-keys, kind="stable")[:m]
 
 
 def das_sample(

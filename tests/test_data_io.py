@@ -55,8 +55,10 @@ class TestXyzFormat:
             ("0 0 0\n\n1 two 3\n", "line 3: could not convert string to float"),
             ("# label x\n0 0 0\n", "line 1: invalid literal for int()"),
             ("# only a comment\n", "no points found"),
+            ("1 nan 2\n", "line 1: non-finite coordinate"),
+            ("0 0 0\n1 1e400 2\n", "line 2: non-finite coordinate"),
         ],
-        ids=["fields", "non-numeric", "label", "empty"],
+        ids=["fields", "non-numeric", "label", "empty", "nan", "overflow"],
     )
     def test_error_names_path_and_line(self, tmp_path, text, reason):
         path = tmp_path / "bad.xyz"
@@ -65,6 +67,14 @@ class TestXyzFormat:
             cloudio.read_xyz(path)
         assert err.value.path == path
         assert err.value.reason.startswith(reason)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "junk.xyz"
+        path.write_bytes(b"JUNK\xff\xfe 1 2 3\n")
+        with pytest.raises(cloudio.CloudFormatError) as err:
+            cloudio.read_cloud(path)
+        assert err.value.path == path
+        assert err.value.reason.startswith("not UTF-8 text")
 
 
 class TestBinaryFormat:
@@ -133,6 +143,17 @@ class TestBinaryFormat:
         with pytest.raises(cloudio.CloudFormatError, match="point count 0") as err:
             cloudio.read_binary(path)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coordinate(self, tmp_path, value):
+        path, raw = self.saved_bytes(tmp_path)
+        # y of point 2: after magic, header and two points, one f32 in
+        at = 12 + 2 * 12 + 4
+        path.write_bytes(raw[:at] + np.array([value], "<f4").tobytes() + raw[at + 4 :])
+        with pytest.raises(cloudio.CloudFormatError) as err:
+            cloudio.read_binary(path)
+        assert err.value.path == path
+        assert err.value.reason == "point 2 has a non-finite coordinate"
 
     def test_dispatch_by_content(self, tmp_path):
         cloud = random_cloud(4, n=6, label=1)

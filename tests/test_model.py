@@ -328,6 +328,15 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("field, reason", [(1, "m must be >= 1"), (2, "k must be >= 1")])
+    def test_invalid_sampler_fields(self, tmp_path, field, reason):
+        path, raw = self.saved_bytes(tmp_path)
+        at = 4 + 4 + 7 * 4 + 4 * field
+        path.write_bytes(raw[:at] + bytes(4) + raw[at + 4 :])
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.reason == f"sampler: {reason}"
+
     @pytest.mark.parametrize("keep", [6, 30, 60, -3])
     def test_truncated_file(self, tmp_path, keep):
         path, raw = self.saved_bytes(tmp_path)
@@ -382,6 +391,19 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.reason == reason
         assert time.perf_counter() - start < 5.0
+
+    def test_empty_tensor_with_huge_dims(self, tmp_path):
+        # rank 3, dims (0, 2**32 - 1, 2**32 - 1): no data, and too big a
+        # shape for numpy to reshape anything to
+        path, raw = self.saved_bytes(tmp_path)
+        tensor0 = 4 + 2 * 4 + 6 * 16 * 8
+        dims = (0, 2**32 - 1, 2**32 - 1)
+        body = np.array((3,) + dims, "<u4").tobytes()
+        start = self.COUNT_AT + 4
+        path.write_bytes(raw[:start] + body + raw[start + tensor0 :])
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.reason == f"tensor 0 has shape {dims}, the header gives (6, 16)"
 
     def test_zero_header_field(self, tmp_path):
         path, raw = self.saved_bytes(tmp_path)

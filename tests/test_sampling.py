@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,46 @@ class TestWeightedSample:
         w /= w.sum()
         out = weighted_sample_without_replacement(w, 15, rng)
         assert len(set(out.tolist())) == 15
+
+    def test_ordered_pair_law(self):
+        # successive renormalized draws: P(i then j) = w_i * w_j / (1 - w_i)
+        weights = [0.7, 0.2, 0.1]
+        rng = np.random.default_rng(7)
+        trials = 100_000
+        counts = np.zeros((3, 3))
+        start = time.perf_counter()
+        for _ in range(trials):
+            i, j = weighted_sample_without_replacement(weights, 2, rng)
+            counts[i, j] += 1
+        assert time.perf_counter() - start < 10.0
+        for i in range(3):
+            for j in range(3):
+                p = 0.0 if i == j else weights[i] * weights[j] / (1 - weights[i])
+                assert abs(counts[i, j] / trials - p) <= 0.01, (i, j)
+
+    def test_denormal_weight_beats_zero_weight(self):
+        # a key like log(u) / w overflows to -inf for w = 5e-324 and ties
+        # with the zero weight; the log-domain key stays finite
+        rng = np.random.default_rng(8)
+        for _ in range(10_000):
+            assert 0 not in weighted_sample_without_replacement([0, 5e-324, 1], 2, rng)
+
+    def test_m_equal_to_positive_count_takes_the_positive_set(self):
+        weights = [0.0, 0.3, 0.0, 0.5, 1e-300, 0.0, 0.2]
+        for seed in range(20):
+            out = weighted_sample_without_replacement(weights, 4, np.random.default_rng(seed))
+            assert sorted(out.tolist()) == [1, 3, 4, 6]
+
+    def test_same_seed_same_draw_one_uniform_per_entry(self):
+        w = np.random.default_rng(9).random(50)
+        first, second = np.random.default_rng(10), np.random.default_rng(10)
+        a = weighted_sample_without_replacement(w, 20, first)
+        b = weighted_sample_without_replacement(w, 20, second)
+        assert np.array_equal(a, b)
+        # the draw used exactly len(w) uniforms, whatever m is
+        reference = np.random.default_rng(10)
+        reference.random(w.size)
+        assert first.random() == reference.random()
 
 
 class TestDas:
