@@ -36,12 +36,13 @@ def run_grid(
         row = {key: cfg.get(key, "") for key in GRID_COLUMNS}
         row["er_clean"] = report.er_clean
         row["er_cor"] = report.er_cor
+        row["capped"] = sum(report.capped.values())
         rows.append(row)
     return rows
 
 
 def write_table_csv(rows, path) -> None:
-    columns = list(GRID_COLUMNS) + ["er_clean", "er_cor"]
+    columns = list(GRID_COLUMNS) + ["er_clean", "er_cor", "capped"]
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -32,22 +33,13 @@ from .evaluate import (
 )
 from .geometry import PointCloud
 from .model import load_checkpoint, save_checkpoint
-from .sampling import SampleSpec, sample_anchors
+from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
 from .train import train
-
-
-def _sampler_variant(method: str, density_variant: str) -> str:
-    if method in ("fps", "random"):
-        return method
-    return {"l0": "das-l0", "l1": "das-l1", "ballquery": "das-ballquery-l0"}[
-        density_variant
-    ]
 
 
 def cmd_sample(args) -> int:
     cloud = cloudio.read_cloud(args.input)
-    variant = _sampler_variant(args.method, args.variant)
-    spec = SampleSpec(m=args.m, k=args.k, variant=variant, seed=args.seed)
+    spec = SampleSpec(m=args.m, k=args.k, variant=args.sampler, seed=args.seed)
     idx = sample_anchors(cloud, spec, np.random.default_rng(args.seed))
     Path(args.output).write_text("".join(f"{i}\n" for i in idx))
     if args.cloud_output:
@@ -64,11 +56,12 @@ def cmd_corrupt(args) -> int:
             print("corrupt --suite requires --output-dir", file=sys.stderr)
             return 2
         name = Path(args.input).stem + ".rpc"
-        for spec, corrupted in corruption_suite(cloud, ALL_KINDS, args.seed):
+        suite = corruption_suite(cloud, ALL_KINDS, args.seed)
+        for spec, corrupted in suite:
             out = Path(args.output_dir) / spec.kind / str(spec.severity)
             out.mkdir(parents=True, exist_ok=True)
             cloudio.write_binary(corrupted, out / name)
-        print(f"wrote {9 * 5} corrupted clouds under {args.output_dir}")
+        print(f"wrote {len(suite)} corrupted clouds under {args.output_dir}")
         return 0
     if not (args.kind and args.output):
         print("corrupt needs --kind and --output (or --suite)", file=sys.stderr)
@@ -150,9 +143,10 @@ def _parse_kinds(text):
 
 def cmd_eval(args) -> int:
     params, sampler = load_checkpoint(args.ckpt)
-    if args.method:
-        variant = _sampler_variant(args.method, args.variant)
-        sampler = SampleSpec(m=sampler.m, k=args.k or sampler.k, variant=variant)
+    if args.sampler is not None:
+        sampler = dataclasses.replace(sampler, variant=args.sampler)
+    if args.k is not None:
+        sampler = dataclasses.replace(sampler, k=args.k)
     dataset = load_split(args.data, "test")
     kinds = _parse_kinds(args.kinds) if args.kinds else ALL_KINDS
     severities = tuple(int(s) for s in args.severities.split(","))
@@ -173,7 +167,7 @@ def cmd_eval(args) -> int:
         write_log_csv(log, args.log)
     print(
         f"er_clean={report.er_clean:.4f} er_cor={report.er_cor:.4f} "
-        f"-> {args.report}"
+        f"capped={sum(report.capped.values())} -> {args.report}"
     )
     return 0
 
@@ -200,10 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="select anchor points from a cloud")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["das", "fps", "random"], default="das")
+    p.add_argument("--sampler", choices=SAMPLER_VARIANTS, default="das-l0")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--variant", choices=["l0", "l1", "ballquery"], default="l0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--cloud-output")
@@ -239,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--severities", default="1,2,3,4,5")
     p.add_argument("--eval-seeds", default="0,1,2,3,4")
     p.add_argument("--corruption-seed", type=int, default=0)
-    p.add_argument("--method", choices=["das", "fps", "random"])
-    p.add_argument("--variant", choices=["l0", "l1", "ballquery"], default="l0")
+    p.add_argument("--sampler", choices=SAMPLER_VARIANTS)
     p.add_argument("--k", type=int)
     p.add_argument("--curves")
     p.add_argument("--log")

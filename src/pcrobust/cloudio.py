@@ -86,8 +86,9 @@ def write_xyz(cloud: PointCloud, path) -> None:
 
 def read_xyz(path) -> PointCloud:
     """Raises CloudFormatError for a file that is not UTF-8 text, naming the
-    line for a line without 3 fields, a non-numeric or non-finite coordinate
-    or a non-numeric label, and for a file without points."""
+    line for a line without 3 fields, a non-numeric or non-finite coordinate,
+    a label line without exactly one integer, or a second label line, and
+    for a file without points."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -99,7 +100,11 @@ def read_xyz(path) -> PointCloud:
         try:
             if line.startswith("#"):
                 fields = line[1:].split()
-                if len(fields) == 2 and fields[0] == "label":
+                if fields[:1] == ["label"]:
+                    if len(fields) != 2:
+                        raise ValueError(f"label line needs 1 value, got {len(fields) - 1}")
+                    if label is not None:
+                        raise ValueError(f"second label line (label {label} already set)")
                     label = int(fields[1])
             elif line:
                 parts = line.split()

@@ -8,6 +8,7 @@ audited from the raw predictions.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption
 from .data import derive_seed
-from .sampling import SampleSpec
+from .sampling import InfeasibleSampleError, SampleSpec
 from .train import predict
 
 CLEAN = "clean"
@@ -30,6 +31,7 @@ class PredictionRecord:
     eval_seed: int
     label: int
     predicted: int
+    capped: bool = False  # anchors capped at the positive-weight count
 
 
 @dataclass(frozen=True)
@@ -38,18 +40,20 @@ class EvalReport:
     per_cell: dict  # (kind, severity) -> error rate
     per_kind: dict  # kind -> mean over its severities
     er_cor: float
+    capped: dict  # (kind, severity) -> capped predictions, clean cell included
 
     def to_dict(self) -> dict:
         corruptions = {}
         for kind in sorted(self.per_kind):
-            severities = {
-                str(s): self.per_cell[(kind, s)]
-                for (k, s) in sorted(self.per_cell)
-                if k == kind
+            sevs = sorted(s for (k, s) in self.per_cell if k == kind)
+            corruptions[kind] = {
+                "severities": {str(s): self.per_cell[(kind, s)] for s in sevs},
+                "er": self.per_kind[kind],
+                "capped": {str(s): self.capped[(kind, s)] for s in sevs},
             }
-            corruptions[kind] = {"severities": severities, "er": self.per_kind[kind]}
         return {
             "er_clean": self.er_clean,
+            "capped_clean": self.capped.get((CLEAN, 0), 0),
             "corruptions": corruptions,
             "er_cor": self.er_cor,
         }
@@ -63,11 +67,13 @@ def report_from_log(records) -> EvalReport:
 
     The per-kind value is the arithmetic mean of that kind's severity
     cells; the overall corruption value is the arithmetic mean over kinds.
+    Every cell also counts its capped predictions.
     """
-    by_cell = {}
+    by_cell, capped = {}, {}
     for rec in records:
         key = (rec.kind, rec.severity)
         by_cell.setdefault(key, []).append(float(rec.predicted != rec.label))
+        capped[key] = capped.get(key, 0) + int(rec.capped)
 
     clean = by_cell.pop((CLEAN, 0), None)
     er_clean = float(np.mean(clean)) if clean else float("nan")
@@ -79,7 +85,7 @@ def report_from_log(records) -> EvalReport:
         cells = [per_cell[key] for key in per_cell if key[0] == kind]
         per_kind[kind] = float(np.mean(cells))
     er_cor = float(np.mean([per_kind[k] for k in kinds])) if kinds else float("nan")
-    return EvalReport(er_clean, per_cell, per_kind, er_cor)
+    return EvalReport(er_clean, per_cell, per_kind, er_cor, capped)
 
 
 def evaluate(
@@ -97,6 +103,11 @@ def evaluate(
     the 0/1 errors are averaged; fps is deterministic, so it gets only the
     first eval seed. Corrupted inputs derive deterministic
     per-(cloud, kind, severity) substreams from ``corruption_seed``.
+
+    When a cloud has fewer positive-weight points than the sampler's m (a
+    heavily dropped cloud under DAS), that prediction is redone with m
+    capped at the positive-weight count, from the same random stream, and
+    its record is marked ``capped``; the report counts them per cell.
     Returns (EvalReport, prediction log).
     """
     if sampler is not None and sampler.variant == "fps":
@@ -111,12 +122,16 @@ def evaluate(
                 variants.append((kind, severity, apply_corruption(cloud, spec)))
         for kind, severity, variant in variants:
             for seed in eval_seeds:
-                rng = np.random.default_rng(
-                    derive_seed(seed, "pred", i, kind, severity)
-                )
-                pred = predict(variant, params, sampler, rng)
+                stream = derive_seed(seed, "pred", i, kind, severity)
+                capped = False
+                try:
+                    pred = predict(variant, params, sampler, np.random.default_rng(stream))
+                except InfeasibleSampleError as err:
+                    capped = True
+                    fewer = dataclasses.replace(sampler, m=err.available)
+                    pred = predict(variant, params, fewer, np.random.default_rng(stream))
                 records.append(
-                    PredictionRecord(i, kind, severity, seed, cloud.label, pred)
+                    PredictionRecord(i, kind, severity, seed, cloud.label, pred, capped)
                 )
     return report_from_log(records), records
 
@@ -127,12 +142,13 @@ def write_log_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["cloud_index", "kind", "severity", "eval_seed", "label", "predicted"]
+            ["cloud_index", "kind", "severity", "eval_seed", "label", "predicted",
+             "capped"]
         )
         for rec in records:
             writer.writerow(
                 [rec.cloud_index, rec.kind, rec.severity, rec.eval_seed,
-                 rec.label, rec.predicted]
+                 rec.label, rec.predicted, int(rec.capped)]
             )
 
 

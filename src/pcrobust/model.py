@@ -222,8 +222,8 @@ def neighbor_embed(
     if anchors is None:
         if sampler is None:
             raise ValueError("either a sampler spec or explicit anchors required")
-        # one neighbour table wide enough for the density kNN and the groups
-        cloud.neighbors(min(max(params.group_k, sampler.k + 1), cloud.n))
+        # one neighbour table wide enough for the sampler and the groups
+        cloud.neighbors(min(max(params.group_k, sampler.neighbor_width), cloud.n))
         anchors = sample_anchors(cloud, sampler, rng, fps_start)
     anchors = np.asarray(anchors, dtype=np.int64)
     pts = cloud.points

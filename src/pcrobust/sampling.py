@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, knn, normalize_unit_sphere
+from .geometry import PointCloud, knn, pairwise_distances, unit_sphere_frame
 
-DENSITY_VARIANTS = ("l0", "l1", "ballquery")
 SAMPLER_VARIANTS = ("das-l0", "das-l1", "das-ballquery-l0", "fps", "random")
+_DENSITY_OF = {"das-l0": "l0", "das-l1": "l1", "das-ballquery-l0": "ballquery"}
 
 BALL_QUERY_RADIUS = 0.1
 BALL_QUERY_CAP = 64
@@ -23,6 +23,14 @@ BALL_QUERY_CAP = 64
 
 class InfeasibleSampleError(ValueError):
     """Requested more distinct draws than there are positive-weight entries."""
+
+    def __init__(self, requested: int, available: int):
+        super().__init__(requested, available)  # args rebuild it when unpickled
+        self.requested, self.available = requested, available
+
+    def __str__(self) -> str:
+        return (f"cannot draw {self.requested} distinct indices from "
+                f"{self.available} positive-weight entries")
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,12 @@ class SampleSpec:
 
     @property
     def density_variant(self) -> str:
-        return {"das-l0": "l0", "das-l1": "l1", "das-ballquery-l0": "ballquery"}[
-            self.variant
-        ]
+        return _DENSITY_OF[self.variant]
+
+    @property
+    def neighbor_width(self) -> int:
+        """Columns of the cloud's neighbour table the sampler reads."""
+        return self.k + 1 if self.variant in _DENSITY_OF else 1
 
 
 def density_profile(cloud: PointCloud, k: int, variant: str = "l0") -> DensityProfile:
@@ -75,14 +86,14 @@ def density_profile(cloud: PointCloud, k: int, variant: str = "l0") -> DensityPr
 
     * ``l0``: count of neighbor distances strictly below t
     * ``l1``: sum of max(t - distance, 0) over the k neighbors
-    * ``ballquery``: number of other points strictly within radius 0.1 of
-      the point on the unit-sphere-normalized cloud, capped at 64
+    * ``ballquery``: count of other points strictly closer than 0.1 r, capped
+      at 64; r is the unit-sphere scale ``normalize_unit_sphere`` divides by
 
     When every raw score is 0 (e.g. perfectly uniform spacing under the
     strict inequality) the weights fall back to uniform and the profile is
     flagged degenerate.
     """
-    if variant not in DENSITY_VARIANTS:
+    if variant not in _DENSITY_OF.values():
         raise ValueError(f"unknown density variant {variant!r}")
     table = knn(cloud, k)
     d = table.distances.mean(axis=1)
@@ -93,9 +104,9 @@ def density_profile(cloud: PointCloud, k: int, variant: str = "l0") -> DensityPr
     elif variant == "l1":
         raw = np.maximum(t - table.distances, 0.0).sum(axis=1)
     else:
-        unit = normalize_unit_sphere(cloud)
-        ball = knn(unit, min(BALL_QUERY_CAP, unit.n - 1))
-        raw = (ball.distances < BALL_QUERY_RADIUS).sum(axis=1).astype(np.float64)
+        _, r = unit_sphere_frame(cloud.points)
+        within = (pairwise_distances(cloud.points) < BALL_QUERY_RADIUS * r).sum(axis=1)
+        raw = np.minimum(within - 1, BALL_QUERY_CAP).astype(np.float64)  # minus self
 
     total = raw.sum()
     if total > 0.0:
@@ -122,9 +133,7 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
         raise ValueError("weights must be nonnegative")
     positive = int(np.count_nonzero(w > 0))
     if m > positive:
-        raise InfeasibleSampleError(
-            f"cannot draw {m} distinct indices from {positive} positive-weight entries"
-        )
+        raise InfeasibleSampleError(m, positive)
     u = 1.0 - rng.random(w.size)
     # zero weights take log(0) before where() drops them; u == 1 keys +inf
     with np.errstate(divide="ignore", invalid="ignore"):

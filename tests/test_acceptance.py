@@ -2,9 +2,9 @@
 
 Each test prints one `[PASS] criterion-name` line on success (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them); a failing test
-prints `[FAIL]` and the assertion. The two directional criteria train
-real models and dominate the runtime; everything else finishes in under
-three minutes.
+prints `[FAIL]` and the assertion. The criteria test mechanics; none
+tests the paper's directional robustness claims yet. The gradient
+criterion dominates the runtime.
 """
 
 import math

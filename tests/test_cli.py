@@ -5,9 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pcrobust.cli as cli
 from pcrobust import cloudio
 from pcrobust.cli import main
 from pcrobust.config import ConfigError, build_train_config, expand_grid, parse_flat_file
+from pcrobust.model import init_model, save_checkpoint
+from pcrobust.sampling import SAMPLER_VARIANTS, SampleSpec
 
 from conftest import random_cloud
 
@@ -46,7 +49,7 @@ class TestSampleCommand:
         sub = tmp_path / "sub.rpc"
         rc = main(
             [
-                "sample", "--input", str(src), "--method", "fps", "--m", "10",
+                "sample", "--input", str(src), "--sampler", "fps", "--m", "10",
                 "--output", str(out), "--cloud-output", str(sub),
             ]
         )
@@ -60,12 +63,33 @@ class TestSampleCommand:
         out = tmp_path / "idx.txt"
         rc = main(
             [
-                "sample", "--input", str(src), "--method", "das", "--variant", "l0",
+                "sample", "--input", str(src), "--sampler", "das-l0",
                 "--m", "5", "--k", "3", "--seed", "7", "--output", str(out),
             ]
         )
         assert rc == 0
         assert len(out.read_text().split()) == 5
+
+
+    @pytest.mark.parametrize("sampler", SAMPLER_VARIANTS)
+    def test_each_sampler_name(self, tmp_path, sampler):
+        src, _ = write_cloud(tmp_path, seed=2)
+        out = tmp_path / "idx.txt"
+        rc = main(["sample", "--input", str(src), "--sampler", sampler, "--m", "4",
+                   "--k", "3", "--output", str(out)])
+        assert rc == 0
+        assert len(set(out.read_text().split())) == 4
+
+    @pytest.mark.parametrize(
+        "flags", [["--sampler", "das"], ["--sampler", "ballquery"], ["--method", "fps"]]
+    )
+    def test_rejects_other_sampler_flags(self, tmp_path, flags, capsys):
+        src, _ = write_cloud(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--input", str(src), "--m", "4",
+                  "--output", str(tmp_path / "idx.txt")] + flags)
+        assert err.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 class TestCorruptCommand:
@@ -94,6 +118,15 @@ class TestCorruptCommand:
         assert len(files1) == 45
         for rel in files1:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()
+
+    def test_suite_reports_files_written(self, tmp_path, monkeypatch, capsys):
+        src, _ = write_cloud(tmp_path)
+        monkeypatch.setattr(cli, "ALL_KINDS", ("scale", "impulse"))
+        out = tmp_path / "suite"
+        assert main(["corrupt", "--input", str(src), "--suite",
+                     "--output-dir", str(out)]) == 0
+        assert len(list(out.rglob("*.rpc"))) == 10
+        assert "wrote 10 corrupted clouds" in capsys.readouterr().out
 
     def test_severity_validation(self, tmp_path):
         src, _ = write_cloud(tmp_path)
@@ -179,6 +212,48 @@ class TestEndToEnd:
         assert c1.read_bytes() == c2.read_bytes()
 
 
+class TestEvalSamplerOverride:
+    @pytest.fixture
+    def eval_inputs(self, tmp_path, monkeypatch):
+        """A das-l0 checkpoint (m=8, k=5), test data, and the list of
+        samplers that eval runs hand to evaluate()."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG)
+        data_dir = tmp_path / "data"
+        main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)])
+        ckpt = tmp_path / "model.ckpt"
+        params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
+                            d_model=16, d_attn=4, group_k=4, n_layers=2)
+        save_checkpoint(ckpt, params, SampleSpec(m=8, k=5, variant="das-l0"))
+        used = []
+        real = cli.evaluate
+
+        def recording(params, dataset, sampler=None, **kwargs):
+            used.append(sampler)
+            return real(params, dataset, sampler=sampler, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", recording)
+        base = ["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                "--report", str(tmp_path / "r.json"), "--kinds", "scale",
+                "--severities", "1", "--eval-seeds", "0"]
+        return base, used
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], SampleSpec(m=8, k=5, variant="das-l0")),
+            (["--k", "3"], SampleSpec(m=8, k=3, variant="das-l0")),
+            (["--sampler", "fps"], SampleSpec(m=8, k=5, variant="fps")),
+            (["--sampler", "das-l1", "--k", "2"], SampleSpec(m=8, k=2, variant="das-l1")),
+        ],
+        ids=["checkpoint", "k-alone", "sampler-alone", "both"],
+    )
+    def test_overrides(self, eval_inputs, flags, expected):
+        base, used = eval_inputs
+        assert main(base + flags) == 0
+        assert used == [expected]
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         src, _ = write_cloud(tmp_path)
@@ -186,7 +261,7 @@ class TestConsoleScript:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "pcrobust.cli", "sample",
-                "--input", str(src), "--method", "fps", "--m", "4",
+                "--input", str(src), "--sampler", "fps", "--m", "4",
                 "--output", str(out),
             ],
             capture_output=True,

@@ -57,8 +57,11 @@ class TestXyzFormat:
             ("# only a comment\n", "no points found"),
             ("1 nan 2\n", "line 1: non-finite coordinate"),
             ("0 0 0\n1 1e400 2\n", "line 2: non-finite coordinate"),
+            ("# label 1 2\n0 0 0\n", "line 1: label line needs 1 value, got 2"),
+            ("# label 1\n0 0 0\n# label 4\n", "line 3: second label line"),
         ],
-        ids=["fields", "non-numeric", "label", "empty", "nan", "overflow"],
+        ids=["fields", "non-numeric", "label", "empty", "nan", "overflow",
+             "label-fields", "label-twice"],
     )
     def test_error_names_path_and_line(self, tmp_path, text, reason):
         path = tmp_path / "bad.xyz"

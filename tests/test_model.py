@@ -198,6 +198,21 @@ class TestNeighborTableReuse:
         cloud.neighbors(params.group_k)
         assert len(table_builds) == 1
 
+    def test_ballquery_forward_builds_one_table(self, table_builds):
+        cloud = random_cloud(14, n=256)
+        params = init_model(np.random.default_rng(0), n_classes=6)
+        spec = SampleSpec(m=64, variant="das-ballquery-l0")
+        forward(cloud, params, spec, np.random.default_rng(1))
+        assert len(table_builds) == 1
+
+    @pytest.mark.parametrize("variant, width", [("fps", 4), ("das-l0", 9)])
+    def test_table_width_from_sampler(self, variant, width):
+        cloud = random_cloud(15, n=64)
+        params = mini_params()  # group_k 4
+        spec = SampleSpec(m=8, k=8, variant=variant)
+        forward(cloud, params, spec, np.random.default_rng(0))
+        assert cloud._neighbors.k == width
+
 
 class TestBaseline:
     def test_exact_permutation_invariance(self):

@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import numpy as np
@@ -16,7 +17,28 @@ from pcrobust.sampling import (
 )
 
 from conftest import random_cloud
-from oracles import brute_density_weights
+from oracles import brute_ball_counts, brute_density_weights
+
+
+def _ball_query_clouds():
+    rng = np.random.default_rng(40)
+    axis = np.arange(6) * 0.5
+    grid = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+    blob = np.vstack([rng.standard_normal((120, 3)) * 0.01,
+                      rng.standard_normal((40, 3))])
+    return {
+        # half-integer grid: many equal distances, all beyond 0.1 r
+        "grid": grid,
+        # a far point stretches r so the 0.5 spacing falls inside 0.1 r
+        "grid-far": np.vstack([grid, [[8.0, 0.0, 0.0]]]),
+        "rounded": np.round(rng.standard_normal((90, 3)), 1),
+        "scaled-small": rng.standard_normal((70, 3)) * 1e-3 + 5.0,
+        "scaled-large": rng.standard_normal((70, 3)) * 1e3,
+        # more than 64 points inside the radius, so the cap binds
+        "dense": blob,
+        "coincident": np.tile([0.3, -1.2, 2.0], (80, 1)),
+        "coincident-few": np.tile([1.0, 1.0, 1.0], (7, 1)),
+    }
 
 
 class TestDensityProfile:
@@ -82,6 +104,16 @@ class TestDensityProfile:
         assert prof.weights[5] == 0.0
         assert (prof.weights[:5] > 0).all()
 
+    @pytest.mark.parametrize("name", sorted(_ball_query_clouds()))
+    def test_ballquery_counts_match_normalised_copy_oracle(self, name):
+        pts = _ball_query_clouds()[name]
+        prof = density_profile(PointCloud(pts), 2, variant="ballquery")
+        assert prof.raw_counts.tolist() == brute_ball_counts(pts.tolist())
+        if name == "dense":
+            assert prof.raw_counts.max() == 64
+        if name.startswith("coincident"):
+            assert prof.raw_counts.tolist() == [min(len(pts) - 1, 64)] * len(pts)
+
     def test_scale_invariance(self):
         cloud = random_cloud(30, n=60)
         base = density_profile(cloud, 5).weights
@@ -122,8 +154,12 @@ class TestWeightedSample:
 
     def test_infeasible(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(InfeasibleSampleError):
+        with pytest.raises(InfeasibleSampleError) as err:
             weighted_sample_without_replacement([0.5, 0.5, 0.0], 3, rng)
+        assert (err.value.requested, err.value.available) == (3, 2)
+        assert str(err.value) == "cannot draw 3 distinct indices from 2 positive-weight entries"
+        back = pickle.loads(pickle.dumps(err.value))
+        assert (back.requested, back.available, str(back)) == (3, 2, str(err.value))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -256,6 +292,14 @@ class TestRandomSample:
 
 
 class TestSampleSpec:
+    @pytest.mark.parametrize(
+        "variant, width",
+        [("das-l0", 6), ("das-l1", 6), ("das-ballquery-l0", 6), ("fps", 1),
+         ("random", 1)],
+    )
+    def test_neighbor_width(self, variant, width):
+        assert SampleSpec(m=4, k=5, variant=variant).neighbor_width == width
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SampleSpec(m=0)

@@ -1,21 +1,32 @@
+import csv
 import hashlib
 import importlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from pcrobust.ablate import run_grid, write_table_csv
-from pcrobust.data import SyntheticDatasetSpec, gen_dataset
+from pcrobust.config import build_dataset_specs
+from pcrobust.corruption import CorruptionSpec, apply_corruption
+from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
 from pcrobust.evaluate import (
     PredictionRecord,
     evaluate,
     report_from_log,
+    write_log_csv,
     write_report_json,
 )
 from pcrobust.losses import LossConfig, attention_sem_loss
-from pcrobust.model import forward, save_checkpoint
-from pcrobust.sampling import SampleSpec
+from pcrobust.model import forward, init_model, save_checkpoint
+from pcrobust.sampling import (
+    InfeasibleSampleError,
+    SampleSpec,
+    das_sample,
+    density_profile,
+)
+from pcrobust.train import predict
 from pcrobust.train import TrainConfig, TrainingDiverged, train
 
 
@@ -220,6 +231,98 @@ class TestEvaluate:
         assert '"scale"' in text
 
 
+def _eval_variant(cloud, index, kind, severity, corruption_seed=0):
+    """The corrupted copy evaluate() predicts for one (cloud, kind, severity)."""
+    if kind == "clean":
+        return cloud
+    master = derive_seed(corruption_seed, "cloud", index)
+    spec = CorruptionSpec(kind, severity, derive_seed(master, kind, severity))
+    return apply_corruption(cloud, spec)
+
+
+class TestCappedAnchors:
+    """README defaults: 256 points, 64 das-l0 anchors, the default model.
+
+    Dropping 75% of the points leaves 64, and on most default test clouds
+    fewer than 64 of them have positive density weight.
+    """
+
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        _, test_spec = build_dataset_specs({})
+        test_set = gen_dataset(test_spec)[::30]  # one cloud per class
+        params = init_model(np.random.default_rng(0), n_classes=6)
+        sampler = SampleSpec(m=64, k=5, variant="das-l0")
+        kinds = ("drop-global", "drop-local", "scale")
+        calls = []  # (anchor count, generator state on entry) per predict()
+
+        def spy(cloud, params, spec, rng):
+            calls.append((spec.m, rng.bit_generator.state))
+            return predict(cloud, params, spec, rng)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(importlib.import_module("pcrobust.evaluate"), "predict", spy)
+            report, log = evaluate(params, test_set, sampler=sampler, kinds=kinds,
+                                   severities=(5,), eval_seeds=(0, 1))
+        positive = {
+            (i, kind): int(np.count_nonzero(density_profile(
+                _eval_variant(cloud, i, kind, 5), 5).weights))
+            for i, cloud in enumerate(test_set)
+            for kind in ("clean",) + kinds
+        }
+        return test_set, sampler, report, log, positive, calls
+
+    def test_default_eval_completes_and_counts_caps(self, default_run):
+        test_set, _, report, log, positive, _ = default_run
+        assert len(log) == len(test_set) * 4 * 2
+        for rec in log:
+            assert rec.capped == (positive[rec.cloud_index, rec.kind] < 64)
+        expected = {(kind, sev): 0 for kind, sev in report.capped}
+        for rec in log:
+            expected[rec.kind, rec.severity] += rec.capped
+        assert report.capped == expected
+        assert expected[("clean", 0)] == expected[("scale", 5)] == 0
+        assert expected[("drop-global", 5)] >= 8 and expected[("drop-local", 5)] >= 8
+        doc = report.to_dict()
+        assert doc["capped_clean"] == 0
+        assert {k: v["capped"] for k, v in doc["corruptions"].items()} == {
+            kind: {"5": expected[kind, 5]}
+            for kind in ("drop-global", "drop-local", "scale")
+        }
+
+    def test_retry_caps_m_and_reuses_the_stream(self, default_run):
+        test_set, sampler, _, log, positive, calls = default_run
+        calls = iter(calls)
+        for rec in log:
+            stream = derive_seed(rec.eval_seed, "pred", rec.cloud_index, rec.kind,
+                                 rec.severity)
+            start = np.random.default_rng(stream).bit_generator.state
+            tries = [next(calls)] + ([next(calls)] if rec.capped else [])
+            assert [state for _, state in tries] == [start] * len(tries)
+            available = positive[rec.cloud_index, rec.kind]
+            assert [m for m, _ in tries] == [64, available][: len(tries)]
+        assert next(calls, None) is None
+
+    def test_sampling_stays_strict(self, default_run):
+        test_set, sampler, _, log, positive, _ = default_run
+        rec = next(r for r in log if r.capped)
+        dropped = _eval_variant(test_set[rec.cloud_index], rec.cloud_index, rec.kind, 5)
+        with pytest.raises(InfeasibleSampleError) as err:
+            das_sample(dropped, sampler, np.random.default_rng(0))
+        available = positive[rec.cloud_index, rec.kind]
+        assert (err.value.requested, err.value.available) == (64, available)
+
+    def test_log_csv_has_capped_column(self, default_run, tmp_path):
+        _, _, report, log, _, _ = default_run
+        path = tmp_path / "log.csv"
+        write_log_csv(log, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["capped"] for row in rows] == [str(int(r.capped)) for r in log]
+        assert report_from_log(log) == report
+        assert json.loads(report.to_json())["capped_clean"] == 0
+
+
 class TestReportFromLog:
     def test_pure_function_of_records(self):
         rng = np.random.default_rng(0)
@@ -288,3 +391,24 @@ class TestAblate:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 7
         assert lines[0].startswith("sampler,")
+
+    def test_capped_column(self, tmp_path):
+        # drop-global at severity 5 leaves 12 of 48 points: fewer than 12
+        # keep a positive density weight, so DAS predictions get capped
+        base = {
+            "classes": "sphere,plane", "train_per_class": "4", "test_per_class": "2",
+            "points": "48", "m_anchors": "12", "d_model": "16", "d_attn": "4",
+            "group_k": "4", "n_layers": "2", "epochs": "1", "batch_size": "8",
+            "sampler_k": "3", "sampler": "das-l0|fps",
+        }
+        from pcrobust.config import expand_grid
+
+        _, configs = expand_grid(base)
+        train_spec, test_spec = build_dataset_specs(base)
+        rows = run_grid(gen_dataset(train_spec), gen_dataset(test_spec), configs,
+                        kinds=("drop-global",), eval_seeds=(0,))
+        assert [row["sampler"] for row in rows] == ["das-l0", "fps"]
+        assert rows[0]["capped"] > 0 and rows[1]["capped"] == 0
+        out = tmp_path / "table.csv"
+        write_table_csv(rows, out)
+        assert out.read_text().splitlines()[0].endswith(",er_clean,er_cor,capped")
