@@ -13,9 +13,11 @@ over the op's inputs, never over its output tensor, so a dropped graph is
 freed by reference counting alone.
 
 Elementwise ops need equal shapes; the reductions ``tsum`` and
-``max_axis`` take an axis and work at any rank; the one broadcast is
-``linear``'s bias. Every op validates that its result is finite and raises
-NonFiniteError otherwise.
+``max_axis`` take an axis and work at any rank. Leading axes are batch
+axes: a 2-D weight multiplies every row as one product, ``transpose``
+swaps the last two axes and the softmaxes work on the last one. The one
+broadcast is ``linear``'s bias. Every op validates that its result is
+finite and raises NonFiniteError otherwise.
 """
 
 from __future__ import annotations
@@ -113,24 +115,41 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), lambda g: (c * g,))
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """x with its leading axes flattened into rows."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b: one product over all rows of a for a 2-D b, else batched."""
+    x = _rows(a.data) if b.data.ndim == 2 else a.data
     # overflow/inf-minus-inf surface as NonFiniteError from the result check
     with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data @ b.data
-    return _result(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+        data = (x @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+
+    def pullback(g):
+        g = g.reshape(x.shape[:-1] + g.shape[-1:])
+        ga = (g @ np.swapaxes(b.data, -1, -2)).reshape(a.data.shape)
+        return ga, np.swapaxes(x, -1, -2) @ g
+
+    return _result(data, (a, b), pullback)
 
 
 def transpose(a: Tensor) -> Tensor:
-    return _result(a.data.T.copy(), (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    data = np.swapaxes(a.data, -1, -2).copy()
+    return _result(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape).copy()
+    # a view: only the optimizers write .data in place, after backward
+    data = a.data.reshape(shape)
     return _result(data, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
+    axis %= tensors[0].data.ndim
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
     lead = (slice(None),) * axis
 
@@ -189,43 +208,48 @@ def max_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
-    """Row-wise softmax of x/tau with max-subtraction for stability."""
+    """Softmax of x/tau over the last axis, with max-subtraction for stability."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    z = (x.data - x.data.max(axis=1, keepdims=True)) / tau
+    z = (x.data - x.data.max(axis=-1, keepdims=True)) / tau
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def pullback(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot) / tau,)
 
     return _result(y, (x,), pullback)
 
 
 def log_softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
-    """Row-wise log softmax of x/tau; safe for extreme logit gaps."""
+    """Log softmax of x/tau over the last axis; safe for extreme logit gaps."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    z = (x.data - x.data.max(axis=1, keepdims=True)) / tau
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = (x.data - x.data.max(axis=-1, keepdims=True)) / tau
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
 
     def pullback(g):
         p = np.exp(y)
-        return ((g - p * g.sum(axis=1, keepdims=True)) / tau,)
+        return ((g - p * g.sum(axis=-1, keepdims=True)) / tau,)
 
     return _result(y, (x,), pullback)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a 2-D product, with the (d_out,) bias b broadcast over rows."""
+    """x @ w + b over the last axis of x, the (d_out,) bias b broadcast over rows."""
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"bias shape {b.data.shape} does not fit weight {w.data.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        data = x.data @ w.data
-        if data.ndim != 2 or b.data.shape != (data.shape[1],):
-            raise ValueError(f"bias shape {b.data.shape} does not fit {data.shape}")
+        data = _rows(x.data) @ w.data
         data += b.data
-    return _result(data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+
+    def pullback(g):
+        g = _rows(g)
+        return (g @ w.data.T).reshape(x.data.shape), _rows(x.data).T @ g, g.sum(axis=0)
+
+    return _result(data.reshape(x.data.shape[:-1] + b.data.shape), (x, w, b), pullback)
 
 
 def finite_diff_check(f, x: Tensor, eps: float = 1e-4) -> float:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption
 from .data import derive_seed
-from .sampling import InfeasibleSampleError, SampleSpec
-from .train import predict
+from .model import BaselineParams, group_features, network
+from .sampling import InfeasibleSampleError, SampleSpec, anchor_profile
 
 CLEAN = "clean"
 
@@ -88,6 +88,28 @@ def report_from_log(records) -> EvalReport:
     return EvalReport(er_clean, per_cell, per_kind, er_cor, capped)
 
 
+def predict_streams(cloud, params, sampler, streams):
+    """Predictions and capped flags for one cloud, one per random stream, as
+    one batch from one density profile; see ``evaluate`` for the cap."""
+    if isinstance(params, BaselineParams):  # no sampling: one prediction serves all
+        preds = [network(cloud.points, params).prediction] * len(streams)
+        return preds, [False] * len(streams)
+    profile = anchor_profile(cloud, sampler, params.group_k)
+    feats, capped = [], []
+    for stream in streams:
+        try:
+            f, _ = group_features(cloud, params, sampler, np.random.default_rng(stream),
+                                  profile=profile)
+        except InfeasibleSampleError as err:
+            fewer = dataclasses.replace(sampler, m=err.available)
+            f, _ = group_features(cloud, params, fewer, np.random.default_rng(stream),
+                                  profile=profile)
+        feats.append(f)
+        capped.append(len(f) < sampler.m)
+    logits = network(np.stack(feats), params).logits.data
+    return logits.argmax(axis=-1).tolist(), capped
+
+
 def evaluate(
     params,
     dataset,
@@ -104,14 +126,16 @@ def evaluate(
     first eval seed. Corrupted inputs derive deterministic
     per-(cloud, kind, severity) substreams from ``corruption_seed``.
 
-    When a cloud has fewer positive-weight points than the sampler's m (a
-    heavily dropped cloud under DAS), that prediction is redone with m
-    capped at the positive-weight count, from the same random stream, and
-    its record is marked ``capped``; the report counts them per cell.
+    When a cloud has fewer positive-weight points (any points, for fps and
+    random) than the sampler's m, that prediction is redone with m capped
+    at that count, from the same random stream, and its record is marked
+    ``capped``; the report counts them per cell. The eval seeds of a cloud
+    are one batch, on a no-grad view of the weights.
     Returns (EvalReport, prediction log).
     """
     if sampler is not None and sampler.variant == "fps":
         eval_seeds = tuple(eval_seeds)[:1]
+    params = params.no_grad()
     records = []
     for i, cloud in enumerate(dataset):
         variants = [(CLEAN, 0, cloud)]
@@ -121,18 +145,10 @@ def evaluate(
                 spec = CorruptionSpec(kind, severity, derive_seed(master, kind, severity))
                 variants.append((kind, severity, apply_corruption(cloud, spec)))
         for kind, severity, variant in variants:
-            for seed in eval_seeds:
-                stream = derive_seed(seed, "pred", i, kind, severity)
-                capped = False
-                try:
-                    pred = predict(variant, params, sampler, np.random.default_rng(stream))
-                except InfeasibleSampleError as err:
-                    capped = True
-                    fewer = dataclasses.replace(sampler, m=err.available)
-                    pred = predict(variant, params, fewer, np.random.default_rng(stream))
-                records.append(
-                    PredictionRecord(i, kind, severity, seed, cloud.label, pred, capped)
-                )
+            streams = [derive_seed(seed, "pred", i, kind, severity) for seed in eval_seeds]
+            preds, capped = predict_streams(variant, params, sampler, streams)
+            records += [PredictionRecord(i, kind, severity, seed, cloud.label, pred, cap)
+                        for seed, pred, cap in zip(eval_seeds, preds, capped)]
     return report_from_log(records), records
 
 

@@ -56,18 +56,16 @@ def _as_tensor(x) -> Tensor:
 
 
 def _row_entropies(scores: Tensor, tau: float) -> Tensor:
-    """Shannon entropy (nats) of softmax(row / tau) for every row: (m,) tensor."""
+    """Shannon entropy (nats) of softmax(row / tau) over the last axis, per row."""
     log_q = ad.log_softmax_rows(scores, tau)
     q = ad.exp(log_q)
-    return ad.mul_scalar(ad.tsum(ad.mul(q, log_q), axis=1), -1.0)
+    return ad.mul_scalar(ad.tsum(ad.mul(q, log_q), axis=-1), -1.0)
 
 
 def row_entropy(row, tau: float = 1.0) -> Tensor:
     """Entropy of the tempered softmax of one score vector."""
     t = _as_tensor(row)
-    if t.data.ndim == 1:
-        t = ad.reshape(t, (1, t.data.size))
-    if t.data.ndim != 2 or t.data.shape[0] != 1:
+    if t.data.ndim not in (1, 2) or t.data.size != t.data.shape[-1]:
         raise ValueError(f"row_entropy expects a single row, got {t.data.shape}")
     return ad.mean(_row_entropies(t, tau))
 
@@ -75,9 +73,10 @@ def row_entropy(row, tau: float = 1.0) -> Tensor:
 def attention_sem_loss(maps, sem_layers, tau: float = 1.0) -> Tensor:
     """Mean row entropy of the selected pre-softmax attention maps.
 
-    ``maps`` holds one (M, M) score tensor per attention layer in order;
-    ``sem_layers`` selects 1-based layers. The result averages over the
-    selected layers and over rows.
+    ``maps`` holds one (M, M) score tensor per attention layer in order,
+    or a (B, M, M) stack for a batch; ``sem_layers`` selects 1-based
+    layers. The result averages over the selected layers and over rows (of
+    every cloud of a batch).
     """
     layers = sorted(set(sem_layers))
     if not layers:
@@ -92,37 +91,38 @@ def attention_sem_loss(maps, sem_layers, tau: float = 1.0) -> Tensor:
 
 
 def channel_sem_loss(features, tau: float = 1.0) -> Tensor:
-    """Mean column entropy of an (M, d) point-feature map.
+    """Mean column entropy of an (M, d) point-feature map or a (B, M, d) stack.
 
     Each channel's M point activations are softmaxed at temperature tau;
-    the Shannon entropies are averaged over channels.
+    the Shannon entropies are averaged over channels (and clouds).
     """
     f = _as_tensor(features)
-    if f.data.ndim != 2:
+    if f.data.ndim < 2:
         raise ValueError(f"expected a 2-D feature map, got {f.data.shape}")
     return ad.mean(_row_entropies(ad.transpose(f), tau))
 
 
-def smoothed_cross_entropy(logits, label: int, eps: float = 0.0) -> Tensor:
+def smoothed_cross_entropy(logits, label, eps: float = 0.0) -> Tensor:
     """Cross-entropy against a label-smoothed target distribution.
 
     The target puts 1 - eps on the true class and eps / (C - 1) on each of
-    the other classes.
+    the other classes. (C,) logits take one label; (B, C) logits take B
+    labels and give the mean over rows.
     """
     t = _as_tensor(logits)
-    if t.data.ndim == 1:
-        t = ad.reshape(t, (1, t.data.size))
-    n_classes = t.data.shape[1]
+    labels = np.asarray(label)
+    n_classes = t.data.shape[-1]
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
-    if not 0 <= label < n_classes:
+    if ((labels < 0) | (labels >= n_classes)).any():
         raise ValueError(f"label {label} out of range for {n_classes} classes")
     if not 0 <= eps < 1:
         raise ValueError("eps must be in [0, 1)")
-    target = np.full((1, n_classes), eps / (n_classes - 1))
-    target[0, label] = 1.0 - eps
+    # labels that do not fit the logits fail the shape check of mul below
+    target = np.where(labels[..., None] == np.arange(n_classes), 1.0 - eps,
+                      eps / (n_classes - 1))
     log_q = ad.log_softmax_rows(t, 1.0)
-    return ad.mul_scalar(ad.tsum(ad.mul(log_q, Tensor(target))), -1.0)
+    return ad.mul_scalar(ad.tsum(ad.mul(log_q, Tensor(target))), -1.0 / labels.size)
 
 
 def total_loss(ce: Tensor, sem: Tensor | None, sem_weight: float) -> Tensor:

@@ -1,11 +1,12 @@
 """Toy attention point-cloud classifier and a point-MLP baseline.
 
-Pipeline: anchor sampling + self-inclusive grouping, a shared per-point
-embedding MLP with max aggregation per group, four cascaded self-attention
-layers (residual, same width in and out), feature concatenation through a
-linear projection, global max pool, and an MLP head. The forward trace
-keeps the pre-softmax attention scores and the pre-pool point features so
-the entropy objectives can reach them.
+Pipeline: per-cloud anchor sampling + self-inclusive grouping in numpy,
+then a network with leading batch axes: a shared per-point embedding MLP
+with max aggregation per group, four cascaded self-attention layers
+(residual, same width in and out), feature concatenation through a linear
+projection, global max pool, and an MLP head. The forward trace keeps the
+pre-softmax attention scores and the pre-pool point features so the
+entropy objectives can reach them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,23 +23,54 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .cloudio import BinaryReader, FormatError
 from .geometry import PointCloud
-from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
+from .sampling import SAMPLER_VARIANTS, SampleSpec, anchor_profile, sample_anchors
 
 CHECKPOINT_MAGIC = b"RPM1"
 
 
+class _Params:
+    """Weights held as dataclass fields: tensors and lists of weight sets."""
+
+    def tensors(self):
+        """Every weight tensor in field order, the order checkpoints use."""
+        out = []
+        for value in vars(self).values():
+            if isinstance(value, Tensor):
+                out.append(value)
+            elif isinstance(value, list):
+                out.extend(t for layer in value for t in layer.tensors())
+        return out
+
+    def zero_grad(self):
+        for t in self.tensors():
+            t.zero_grad()
+
+    def copy(self):
+        return self._map(lambda t: Tensor(np.array(t.data), requires_grad=True))
+
+    def no_grad(self):
+        """The same arrays without gradients: ops on them build no graph."""
+        return self._map(lambda t: Tensor(t.data))
+
+    def _map(self, fn):
+        fields = dict(vars(self))
+        for name, value in fields.items():
+            if isinstance(value, Tensor):
+                fields[name] = fn(value)
+            elif isinstance(value, list):
+                fields[name] = [layer._map(fn) for layer in value]
+        return type(self)(**fields)
+
+
 @dataclass
-class AttentionLayerParams:
+class AttentionLayerParams(_Params):
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
 
-    def tensors(self):
-        return [self.w_q, self.w_k, self.w_v]
-
 
 @dataclass
-class ModelParams:
+class ModelParams(_Params):
     """All learnable weights of the attention classifier."""
 
     n_classes: int
@@ -61,23 +93,9 @@ class ModelParams:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def tensors(self):
-        out = [self.embed_w1, self.embed_b1, self.embed_w2, self.embed_b2]
-        for layer in self.layers:
-            out.extend(layer.tensors())
-        out.extend([self.w_o, self.head_w1, self.head_b1, self.head_w2, self.head_b2])
-        return out
-
-    def zero_grad(self):
-        for t in self.tensors():
-            t.zero_grad()
-
-    def copy(self) -> "ModelParams":
-        return _copy_params(self)
-
 
 @dataclass
-class BaselineParams:
+class BaselineParams(_Params):
     """Per-point MLP baseline: shared point MLP, max pool, head."""
 
     n_classes: int
@@ -91,30 +109,12 @@ class BaselineParams:
     head_w2: Tensor
     head_b2: Tensor
 
-    def tensors(self):
-        return [
-            self.point_w1,
-            self.point_b1,
-            self.point_w2,
-            self.point_b2,
-            self.head_w1,
-            self.head_b1,
-            self.head_w2,
-            self.head_b2,
-        ]
-
-    def zero_grad(self):
-        for t in self.tensors():
-            t.zero_grad()
-
-    def copy(self) -> "BaselineParams":
-        return _copy_params(self)
-
 
 @dataclass
 class ForwardTrace:
     """One forward pass: logits, pre-softmax attention maps per layer, and
-    the point-feature map that feeds the global max pool."""
+    the point-feature map that feeds the global max pool. A batched pass
+    puts the batch axes in front of each: (B, C), (B, M, M) and (B, M, D)."""
 
     logits: Tensor
     attention_maps: list
@@ -203,38 +203,38 @@ def group_indices(cloud: PointCloud, anchors: np.ndarray, group_k: int) -> np.nd
     return cloud.neighbors(group_k).indices[anchors]
 
 
-def neighbor_embed(
+def group_features(
     cloud: PointCloud,
     params: ModelParams,
     sampler: SampleSpec | None = None,
     rng: np.random.Generator | None = None,
     anchors=None,
     fps_start: int = 0,
+    profile=None,
 ):
-    """Sample anchors and embed their local groups into an (M, D) feature map.
+    """Sample anchors and gather their groups: ((M, group_k, 6) features, anchors).
 
     Each anchor's group is its ``group_k`` nearest original points (anchor
-    included). Group points enter a shared MLP as (offset from anchor,
-    anchor coordinates) 6-vectors and are aggregated by max, so the result
-    is invariant to ordering within the group. Pass ``anchors`` to bypass
-    the sampler.
+    included), as (offset from anchor, anchor coordinates) 6-vectors. Pass
+    ``anchors`` to bypass the sampler, or an ``anchor_profile`` to reuse it.
     """
     if anchors is None:
-        if sampler is None:
-            raise ValueError("either a sampler spec or explicit anchors required")
-        # one neighbour table wide enough for the sampler and the groups
-        cloud.neighbors(min(max(params.group_k, sampler.neighbor_width), cloud.n))
-        anchors = sample_anchors(cloud, sampler, rng, fps_start)
+        if profile is None:
+            profile = anchor_profile(cloud, sampler, params.group_k)
+        anchors = sample_anchors(cloud, sampler, rng, fps_start, profile)
     anchors = np.asarray(anchors, dtype=np.int64)
     pts = cloud.points
-    g = params.group_k
-    groups = group_indices(cloud, anchors, g)
+    groups = group_indices(cloud, anchors, params.group_k)
     rel = pts[groups] - pts[anchors][:, None, :]
     ctr = np.broadcast_to(pts[anchors][:, None, :], rel.shape)
-    feats = np.concatenate([rel, ctr], axis=2).reshape(anchors.size * g, 6)
+    return np.concatenate([rel, ctr], axis=2), anchors
+
+
+def neighbor_embed(feats: np.ndarray, params: ModelParams) -> Tensor:
+    """Shared MLP over (..., M, g, 6) group features, then max over each
+    group: (..., M, D), invariant to the order within a group."""
     h = ad.relu(ad.linear(Tensor(feats), params.embed_w1, params.embed_b1))
-    h = ad.linear(h, params.embed_w2, params.embed_b2)
-    return ad.max_axis(ad.reshape(h, (anchors.size, g, params.d_model)), axis=1), anchors
+    return ad.max_axis(ad.linear(h, params.embed_w2, params.embed_b2), axis=-2)
 
 
 def self_attention_layer(f_in: Tensor, layer: AttentionLayerParams, d_attn: int):
@@ -252,10 +252,26 @@ def self_attention_layer(f_in: Tensor, layer: AttentionLayerParams, d_attn: int)
 
 
 def _pool_head(features: Tensor, params) -> Tensor:
-    """Global max pool of an (n, d) feature map, then the MLP head: (C,) logits."""
-    f_g = ad.reshape(ad.max_axis(features, axis=0), (1, features.data.shape[1]))
-    h = ad.relu(ad.linear(f_g, params.head_w1, params.head_b1))
-    return ad.reshape(ad.linear(h, params.head_w2, params.head_b2), (params.n_classes,))
+    """Global max pool of an (..., n, d) feature map, then the MLP head: (..., C)."""
+    h = ad.relu(ad.linear(ad.max_axis(features, axis=-2), params.head_w1, params.head_b1))
+    return ad.linear(h, params.head_w2, params.head_b2)
+
+
+def network(inputs: np.ndarray, params) -> ForwardTrace:
+    """The classifier on (..., M, g, 6) group features, or (..., N, 3) points
+    for the baseline; ``params.no_grad()`` weights build no graph."""
+    if isinstance(params, BaselineParams):
+        h = ad.relu(ad.linear(Tensor(inputs), params.point_w1, params.point_b1))
+        point_feats = ad.linear(h, params.point_w2, params.point_b2)
+        return ForwardTrace(_pool_head(point_feats, params), [], point_feats)
+    f = neighbor_embed(inputs, params)
+    stage_outputs, score_maps = [], []
+    for layer in params.layers:
+        f, scores = self_attention_layer(f, layer, params.d_attn)
+        stage_outputs.append(f)
+        score_maps.append(scores)
+    f_o = ad.matmul(ad.concat(stage_outputs, axis=-1), params.w_o)
+    return ForwardTrace(_pool_head(f_o, params), score_maps, f_o)
 
 
 def forward(
@@ -266,46 +282,13 @@ def forward(
     anchors=None,
     fps_start: int = 0,
 ) -> ForwardTrace:
-    f_s, anchors = neighbor_embed(cloud, params, sampler, rng, anchors, fps_start)
-    m = anchors.size
-    f = f_s
-    stage_outputs = []
-    score_maps = []
-    for layer in params.layers:
-        f, scores = self_attention_layer(f, layer, params.d_attn)
-        if f.data.shape != (m, params.d_model):
-            raise AssertionError(f"attention layer broke shape: {f.data.shape}")
-        stage_outputs.append(f)
-        score_maps.append(scores)
-    f_o = ad.matmul(ad.concat(stage_outputs, axis=1), params.w_o)
-    return ForwardTrace(_pool_head(f_o, params), score_maps, f_o, anchors)
+    feats, anchors = group_features(cloud, params, sampler, rng, anchors, fps_start)
+    return replace(network(feats, params), anchors=anchors)
 
 
 def baseline_forward(cloud: PointCloud, params: BaselineParams) -> ForwardTrace:
     """Per-point MLP, global max pool, head. No sampling, no attention."""
-    h = ad.relu(ad.linear(Tensor(cloud.points), params.point_w1, params.point_b1))
-    point_feats = ad.linear(h, params.point_w2, params.point_b2)
-    return ForwardTrace(_pool_head(point_feats, params), [], point_feats, None)
-
-
-def _copy_params(params):
-    import copy as _copy
-
-    kwargs = {}
-    for name in params.__dataclass_fields__:
-        value = getattr(params, name)
-        if isinstance(value, Tensor):
-            kwargs[name] = Tensor(np.array(value.data), requires_grad=True)
-        elif isinstance(value, list):
-            kwargs[name] = [
-                AttentionLayerParams(
-                    *[Tensor(np.array(t.data), requires_grad=True) for t in l.tensors()]
-                )
-                for l in value
-            ]
-        else:
-            kwargs[name] = _copy.copy(value)
-    return type(params)(**kwargs)
+    return network(cloud.points, params)
 
 
 # ---------------------------------------------------------------------------

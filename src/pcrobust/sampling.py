@@ -22,7 +22,7 @@ BALL_QUERY_CAP = 64
 
 
 class InfeasibleSampleError(ValueError):
-    """Requested more distinct draws than there are positive-weight entries."""
+    """Requested more distinct draws than there are positive-weight entries or points."""
 
     def __init__(self, requested: int, available: int):
         super().__init__(requested, available)  # args rebuild it when unpickled
@@ -141,11 +141,24 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
     return np.argsort(-keys, kind="stable")[:m]
 
 
+def anchor_profile(cloud: PointCloud, spec: SampleSpec, width: int):
+    """Build the cloud's neighbour table, ``width`` columns or the sampler's
+    if wider, and return the density profile a DAS spec draws from (None
+    for fps and random). One profile serves any number of draws."""
+    if spec is None:
+        raise ValueError("either a sampler spec or explicit anchors required")
+    cloud.neighbors(min(max(width, spec.neighbor_width), cloud.n))
+    if spec.variant not in _DENSITY_OF:
+        return None
+    return density_profile(cloud, spec.k, spec.density_variant)
+
+
 def das_sample(
-    cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator
+    cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator, profile=None
 ) -> np.ndarray:
-    """Density-aware anchor sampling: density weights, then a weighted draw."""
-    profile = density_profile(cloud, spec.k, spec.density_variant)
+    """Density-aware sampling: density weights (``profile``), then a weighted draw."""
+    if profile is None:
+        profile = density_profile(cloud, spec.k, spec.density_variant)
     return weighted_sample_without_replacement(profile.weights, spec.m, rng)
 
 
@@ -153,9 +166,12 @@ def fps_sample(cloud: PointCloud, m: int, start: int = 0) -> np.ndarray:
     """Greedy farthest-point sampling from a fixed start index.
 
     Iteratively appends the point with maximum distance to the selected
-    set; distance ties resolve to the lower index. Deterministic.
+    set; distance ties resolve to the lower index. Deterministic. Raises
+    InfeasibleSampleError when m > N.
     """
     n = cloud.n
+    if m > n:
+        raise InfeasibleSampleError(m, n)
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= N, got m={m}, N={n}")
     if not 0 <= start < n:
@@ -177,7 +193,9 @@ def fps_sample(cloud: PointCloud, m: int, start: int = 0) -> np.ndarray:
 def random_sample(
     cloud: PointCloud, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform sampling without replacement."""
+    """Uniform sampling without replacement; InfeasibleSampleError when m > N."""
+    if m > cloud.n:
+        raise InfeasibleSampleError(m, cloud.n)
     if not 1 <= m <= cloud.n:
         raise ValueError(f"m must satisfy 1 <= m <= N, got m={m}, N={cloud.n}")
     return rng.permutation(cloud.n)[:m].astype(np.int64)
@@ -188,12 +206,13 @@ def sample_anchors(
     spec: SampleSpec,
     rng: np.random.Generator | None = None,
     fps_start: int = 0,
+    profile=None,
 ) -> np.ndarray:
-    """Dispatch to the strategy named by spec.variant."""
+    """Dispatch to the strategy named by spec.variant; DAS may reuse ``profile``."""
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     if spec.variant == "fps":
         return fps_sample(cloud, spec.m, fps_start)
     if spec.variant == "random":
         return random_sample(cloud, spec.m, rng)
-    return das_sample(cloud, spec, rng)
+    return das_sample(cloud, spec, rng, profile)

@@ -1,10 +1,12 @@
 """Minibatch training of the classifiers with the joint objective.
 
 The loop is a single sequential pass (deterministic per seed): shuffled
-minibatches, per-cloud forward, mean batch loss = classification +
-weighted self-entropy term, one optimizer step per batch. A fixed fraction
-of the training clouds is held out per seed; the best-by-validation
-parameters are returned.
+minibatches, anchors drawn and grouped per cloud in batch order, then one
+graph per minibatch over the stacked groups, mean batch loss =
+classification + weighted self-entropy term, one optimizer step per batch.
+A fixed fraction of the training clouds is held out per seed and predicted
+on a no-grad view of the weights, which builds no graph; the
+best-by-validation parameters are returned.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .losses import (
 from .model import (
     BaselineParams,
     ModelParams,
-    baseline_forward,
-    forward,
+    group_features,
     init_baseline,
     init_model,
+    network,
 )
 from .sampling import SampleSpec
 
@@ -63,12 +65,12 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, lr must be positive")
         if not 0 <= self.val_fraction < 1:
             raise ValueError("val_fraction must be in [0, 1)")
-        if self.arch == "attention" and self.loss.sem_mode == "attention":
-            bad = [l for l in self.loss.sem_layers if not 1 <= l <= self.n_layers]
+        if self.loss.sem_mode == "attention":
+            n = self.n_layers if self.arch == "attention" else 0
+            bad = [l for l in self.loss.sem_layers if not 1 <= l <= n]
             if bad:
-                raise ValueError(
-                    f"sem_layers {bad} outside the model's 1..{self.n_layers}"
-                )
+                raise ValueError(f"loss.sem_mode 'attention' reads sem_layers {bad}, "
+                                 f"but arch {self.arch!r} has {n} attention layers")
 
 
 @dataclass
@@ -114,36 +116,38 @@ class SGD:
                 p.data -= self.lr * p.grad
 
 
-def _cloud_loss(cloud, params, config, rng):
-    if config.arch == "attention":
-        trace = forward(cloud, params, config.sampler, rng)
-    else:
-        trace = baseline_forward(cloud, params)
-    loss_cfg = config.loss
-    ce = smoothed_cross_entropy(trace.logits, cloud.label, loss_cfg.smoothing_eps)
-    if loss_cfg.sem_mode == "off" or loss_cfg.sem_weight == 0.0:
-        return ce, trace
-    if loss_cfg.sem_mode == "attention":
-        sem = attention_sem_loss(
-            trace.attention_maps, loss_cfg.sem_layers, loss_cfg.tau
-        )
-    else:
-        sem = channel_sem_loss(trace.point_features, loss_cfg.tau)
-    return total_loss(ce, sem, loss_cfg.sem_weight), trace
-
-
-def predict(cloud, params, sampler=None, rng=None, fps_start=0) -> int:
+def _stack_inputs(clouds, params, sampler, rngs) -> np.ndarray:
+    """Network input for a list of clouds, anchors drawn per cloud in order:
+    (B, M, g, 6) group features, or (B, N, 3) points for the baseline."""
     if isinstance(params, BaselineParams):
-        return baseline_forward(cloud, params).prediction
-    return forward(cloud, params, sampler, rng, fps_start=fps_start).prediction
+        return np.stack([c.points for c in clouds])
+    return np.stack([group_features(c, params, sampler, rng)[0]
+                     for c, rng in zip(clouds, rngs)])
+
+
+def minibatch_loss(clouds, params, config, rngs):
+    """Mean over the clouds of classification plus weighted self-entropy, one graph."""
+    trace = network(_stack_inputs(clouds, params, config.sampler, rngs), params)
+    cfg = config.loss
+    ce = smoothed_cross_entropy(trace.logits, [c.label for c in clouds], cfg.smoothing_eps)
+    if cfg.sem_mode == "off" or cfg.sem_weight == 0.0:
+        return ce
+    if cfg.sem_mode == "attention":
+        sem = attention_sem_loss(trace.attention_maps, cfg.sem_layers, cfg.tau)
+    else:
+        sem = channel_sem_loss(trace.point_features, cfg.tau)
+    return total_loss(ce, sem, cfg.sem_weight)
 
 
 def _error_rate(clouds, params, config, rng_seed):
+    """Error rate in minibatches; cloud i draws its anchors from its own stream."""
     wrong = 0
-    for i, cloud in enumerate(clouds):
-        rng = np.random.default_rng(derive_seed(rng_seed, i))
-        if predict(cloud, params, config.sampler, rng) != cloud.label:
-            wrong += 1
+    for start in range(0, len(clouds), config.batch_size):
+        batch = clouds[start : start + config.batch_size]
+        rngs = [np.random.default_rng(derive_seed(rng_seed, start + j))
+                for j in range(len(batch))]
+        trace = network(_stack_inputs(batch, params, config.sampler, rngs), params)
+        wrong += int((trace.logits.data.argmax(axis=-1) != [c.label for c in batch]).sum())
     return wrong / len(clouds)
 
 
@@ -158,6 +162,9 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     if labels != list(range(len(labels))) or len(labels) < 2:
         raise ValueError("dataset labels must be 0..C-1 with C >= 2")
     n_classes = len(labels)
+    sizes = sorted({c.n for c in dataset})
+    if config.arch == "baseline" and len(sizes) > 1:
+        raise ValueError(f"arch 'baseline' stacks whole clouds: sizes {sizes} differ")
 
     rng = np.random.default_rng(config.seed)
     if config.arch == "attention":
@@ -183,19 +190,18 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     opt_cls = Adam if config.optimizer == "adam" else SGD
     opt = opt_cls(params.tensors(), lr=config.lr)
     result = TrainResult(params=params, sampler=config.sampler)
+    frozen = params.no_grad()  # the same arrays, which the optimizer updates
 
     for epoch in range(config.epochs):
         epoch_order = train_idx[rng.permutation(train_idx.size)]
         epoch_losses = []
         for start in range(0, epoch_order.size, config.batch_size):
-            batch = epoch_order[start : start + config.batch_size]
+            batch = [dataset[i] for i in epoch_order[start : start + config.batch_size]]
             params.zero_grad()
             try:
+                # the previous step's graph lives until here (see README)
                 batch_loss = None
-                for i in batch:
-                    loss, _ = _cloud_loss(dataset[i], params, config, rng)
-                    batch_loss = loss if batch_loss is None else ad.add(batch_loss, loss)
-                batch_loss = ad.mul_scalar(batch_loss, 1.0 / batch.size)
+                batch_loss = minibatch_loss(batch, params, config, [rng] * len(batch))
                 ad.backward(batch_loss)
             except NonFiniteError as exc:
                 raise TrainingDiverged(
@@ -207,7 +213,7 @@ def train(dataset, config: TrainConfig) -> TrainResult:
         if val_idx.size:
             val_err = _error_rate(
                 [dataset[i] for i in val_idx],
-                params,
+                frozen,
                 config,
                 derive_seed(config.seed, "val", epoch),
             )

@@ -1,7 +1,9 @@
-"""Independent brute-force reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-Everything here is written with plain Python loops and math — deliberately
-not sharing any code path with the package — so agreement is meaningful.
+The brute-force oracles are written with plain Python loops and math —
+deliberately not sharing any code path with the package — so agreement is
+meaningful. The per-cloud references at the end run the package's ops one
+cloud at a time, the way training and evaluation ran before they batched.
 """
 
 import math
@@ -91,3 +93,87 @@ def brute_smoothed_ce(logits, label, eps):
         target = 1.0 - eps if j == label else eps / (n - 1)
         loss -= target * log_probs[j]
     return loss
+
+
+# ---------------------------------------------------------------------------
+# Per-cloud references for the batched training and evaluation paths. Unlike
+# the brute-force oracles above, these run the package's own ops; what they
+# do not share is the batching: one graph, or one prediction, per cloud.
+
+
+def per_cloud_loss(clouds, params, config, rng):
+    """The minibatch loss as a sum of one graph per cloud over the batch size,
+    anchors drawn from ``rng`` cloud by cloud."""
+    from pcrobust import autodiff as ad
+    from pcrobust.losses import (
+        attention_sem_loss,
+        channel_sem_loss,
+        smoothed_cross_entropy,
+        total_loss,
+    )
+    from pcrobust.model import baseline_forward, forward
+
+    loss_cfg = config.loss
+    total = None
+    for cloud in clouds:
+        if config.arch == "attention":
+            trace = forward(cloud, params, config.sampler, rng)
+        else:
+            trace = baseline_forward(cloud, params)
+        loss = smoothed_cross_entropy(trace.logits, cloud.label, loss_cfg.smoothing_eps)
+        if loss_cfg.sem_mode != "off" and loss_cfg.sem_weight != 0.0:
+            if loss_cfg.sem_mode == "attention":
+                sem = attention_sem_loss(trace.attention_maps, loss_cfg.sem_layers,
+                                         loss_cfg.tau)
+            else:
+                sem = channel_sem_loss(trace.point_features, loss_cfg.tau)
+            loss = total_loss(loss, sem, loss_cfg.sem_weight)
+        total = loss if total is None else ad.add(total, loss)
+    return ad.mul_scalar(total, 1.0 / len(clouds))
+
+
+def per_cloud_evaluate(params, dataset, sampler, kinds, severities, eval_seeds,
+                       corruption_seed=0):
+    """evaluate()'s prediction log, one forward pass per record: each seed
+    tries m anchors, then on InfeasibleSampleError m = available from a
+    fresh generator on the same stream."""
+    import dataclasses
+
+    import numpy as np
+
+    from pcrobust.corruption import CorruptionSpec, apply_corruption
+    from pcrobust.data import derive_seed
+    from pcrobust.evaluate import PredictionRecord
+    from pcrobust.model import BaselineParams, baseline_forward, forward
+    from pcrobust.sampling import InfeasibleSampleError
+
+    if sampler is not None and sampler.variant == "fps":
+        eval_seeds = tuple(eval_seeds)[:1]
+    records = []
+    for i, cloud in enumerate(dataset):
+        variants = [("clean", 0, cloud)]
+        master = derive_seed(corruption_seed, "cloud", i)
+        for kind in kinds:
+            for severity in severities:
+                spec = CorruptionSpec(kind, severity, derive_seed(master, kind, severity))
+                variants.append((kind, severity, apply_corruption(cloud, spec)))
+        for kind, severity, variant in variants:
+            for seed in eval_seeds:
+                stream = derive_seed(seed, "pred", i, kind, severity)
+                capped = False
+                if isinstance(params, BaselineParams):
+                    pred = baseline_forward(variant, params).prediction
+                else:
+                    try:
+                        trace = forward(variant, params, sampler,
+                                        np.random.default_rng(stream))
+                    except InfeasibleSampleError as err:
+                        capped = True
+                        fewer = dataclasses.replace(sampler, m=err.available)
+                        trace = forward(variant, params, fewer,
+                                        np.random.default_rng(stream))
+                    pred = trace.prediction
+                records.append(
+                    PredictionRecord(i, kind, severity, seed, cloud.label, pred, capped)
+                )
+    return records

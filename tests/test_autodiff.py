@@ -141,6 +141,54 @@ class TestNonFinite:
             ad.exp(Tensor([[1000.0]]))
 
 
+class TestBatchAxes:
+    """A leading batch axis gives each batch what the op gives it alone."""
+
+    def test_batched_ops_match_per_matrix(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((3, 5, 4))
+        b = rng.standard_normal((3, 4, 5))
+        w = rng.standard_normal((4, 2))
+        bias = rng.standard_normal(2)
+        ops = [
+            (lambda x: ad.matmul(x, Tensor(b)), lambda i, x: ad.matmul(x, Tensor(b[i]))),
+            (lambda x: ad.matmul(x, Tensor(w)), lambda i, x: ad.matmul(x, Tensor(w))),
+            (lambda x: ad.linear(x, Tensor(w), Tensor(bias)),
+             lambda i, x: ad.linear(x, Tensor(w), Tensor(bias))),
+            (ad.transpose, lambda i, x: ad.transpose(x)),
+            (ad.softmax_rows, lambda i, x: ad.softmax_rows(x)),
+            (ad.log_softmax_rows, lambda i, x: ad.log_softmax_rows(x)),
+        ]
+        for batched, single in ops:
+            x = Tensor(a, requires_grad=True)
+            out = batched(x)
+            grads = backward(ad.tsum(ad.mul(out, Tensor(np.cos(out.data)))))
+            for i in range(3):
+                xi = Tensor(a[i], requires_grad=True)
+                oi = single(i, xi)
+                assert np.allclose(out.data[i], oi.data, rtol=0, atol=1e-13)
+                gi = backward(ad.tsum(ad.mul(oi, Tensor(np.cos(oi.data)))))
+                assert np.allclose(grads[x][i], gi[xi], rtol=0, atol=1e-13)
+
+    def test_vector_through_linear(self):
+        rng = np.random.default_rng(10)
+        x, w, b = rng.standard_normal(4), rng.standard_normal((4, 3)), rng.standard_normal(3)
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
+        assert out.data.shape == (3,)
+        assert np.allclose(out.data, x @ w + b, rtol=0, atol=1e-14)
+
+    def test_matmul_rank_mismatch(self):
+        with pytest.raises(ValueError):
+            ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 3))))
+
+    def test_reshape_is_a_view_and_passes_gradients(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        y = ad.reshape(x, (3, 2))
+        assert np.shares_memory(y.data, x.data)
+        grads = backward(ad.tsum(ad.mul(y, Tensor(np.arange(6.0).reshape(3, 2)))))
+        assert np.array_equal(grads[x], np.arange(6.0).reshape(2, 3))
+
+
 class TestShapeChecks:
     def test_add_mismatch(self):
         with pytest.raises(ValueError):
@@ -171,6 +219,12 @@ def op_cases(seed):
     c38 = Tensor(rng.standard_normal((3, 8)))
     c26 = Tensor(rng.standard_normal((2, 6)))
     x34 = rng.standard_normal((3, 4))
+    # batched: leading axis 2
+    c234 = Tensor(rng.standard_normal((2, 3, 4)))
+    c243 = Tensor(rng.standard_normal((2, 4, 3)))
+    c233 = Tensor(rng.standard_normal((2, 3, 3)))
+    c238 = Tensor(rng.standard_normal((2, 3, 8)))
+    x234 = rng.standard_normal((2, 3, 4))
     cases = [
         ("add", lambda t: ad.mean(ad.add(t, c34)), x34),
         ("linear[b]", lambda t: ad.mean(ad.linear(c26, c64, t)), rng.standard_normal(4)),
@@ -196,6 +250,21 @@ def op_cases(seed):
         ("max_axis[0]", lambda t: ad.mean(ad.max_axis(t, 0)), x34),
         ("max_axis[1]", lambda t: ad.mean(ad.max_axis(t, 1)), x34),
         ("max_axis[1, 3-D]", lambda t: ad.mean(ad.max_axis(t, 1)), rng.standard_normal((2, 3, 4))),
+        ("matmul[rows, 3-D]", lambda t: ad.mean(ad.mul(ad.matmul(t, c43), c233)), x234),
+        ("matmul[left, 3-D]", lambda t: ad.mean(ad.mul(ad.matmul(t, c243), c233)), x234),
+        ("matmul[right, 3-D]", lambda t: ad.mean(ad.mul(ad.matmul(c234, t), c233)),
+         rng.standard_normal((2, 4, 3))),
+        ("transpose[3-D]", lambda t: ad.mean(ad.mul(ad.transpose(t), c243)), x234),
+        ("concat[-1, 3-D]", lambda t: ad.mean(ad.mul(ad.concat([c234, t], axis=-1), c238)),
+         x234),
+        ("softmax_rows[3-D]", lambda t: ad.mean(ad.mul(ad.softmax_rows(t, 0.7), c234)), x234),
+        ("log_softmax_rows[3-D]",
+         lambda t: ad.mean(ad.mul(ad.log_softmax_rows(t, 1.3), c234)), x234),
+        ("linear[x, 3-D]", lambda t: ad.mean(ad.mul(ad.linear(t, c43, c3), c233)), x234),
+        ("linear[w, 3-D]", lambda t: ad.mean(ad.mul(ad.linear(c234, t, c3), c233)),
+         rng.standard_normal((4, 3))),
+        ("linear[b, 3-D]", lambda t: ad.mean(ad.mul(ad.linear(c234, c43, t), c233)),
+         rng.standard_normal(3)),
     ]
     return cases
 

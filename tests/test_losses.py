@@ -180,6 +180,37 @@ class TestSmoothedCrossEntropy:
             smoothed_cross_entropy([1.0, 2.0], 0, 1.0)
 
 
+class TestBatchedLosses:
+    """(B, ...) inputs give the mean of the per-cloud losses."""
+
+    def test_cross_entropy_takes_a_label_vector(self):
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((5, 4)) * 2
+        labels = rng.integers(0, 4, 5)
+        rows = [smoothed_cross_entropy(row, int(l), 0.2).item()
+                for row, l in zip(logits, labels)]
+        got = smoothed_cross_entropy(logits, labels, 0.2).item()
+        assert got == pytest.approx(np.mean(rows), abs=1e-14)
+
+    def test_cross_entropy_label_shape_checked(self):
+        with pytest.raises(ValueError):
+            smoothed_cross_entropy(np.zeros((3, 4)), [0, 1], 0.0)
+        with pytest.raises(ValueError):
+            smoothed_cross_entropy(np.zeros((2, 4)), [0, 4], 0.0)
+
+    def test_sem_losses_average_over_the_batch(self):
+        rng = np.random.default_rng(5)
+        maps = [rng.standard_normal((3, 6, 6)) for _ in range(2)]
+        feats = rng.standard_normal((3, 6, 4))
+        per_attn = [attention_sem_loss([m[b] for m in maps], (1, 2), 0.9).item()
+                    for b in range(3)]
+        per_chan = [channel_sem_loss(feats[b], 1.1).item() for b in range(3)]
+        assert attention_sem_loss(maps, (1, 2), 0.9).item() == pytest.approx(
+            np.mean(per_attn), abs=1e-14)
+        assert channel_sem_loss(feats, 1.1).item() == pytest.approx(
+            np.mean(per_chan), abs=1e-14)
+
+
 class TestTotalLoss:
     def test_zero_weight_is_ce(self):
         ce = Tensor(np.asarray(1.5))

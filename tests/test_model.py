@@ -12,6 +12,7 @@ from pcrobust.model import (
     CheckpointFormatError,
     baseline_forward,
     forward,
+    group_features,
     init_baseline,
     init_model,
     load_checkpoint,
@@ -35,7 +36,8 @@ class TestNeighborEmbed:
     def test_identity_sampling_group_of_self(self):
         cloud = random_cloud(0, n=12)
         params = mini_params(group_k=1)
-        f_s, anchors = neighbor_embed(cloud, params, anchors=np.arange(12))
+        feats, anchors = group_features(cloud, params, anchors=np.arange(12))
+        f_s = neighbor_embed(feats, params)
         assert anchors.tolist() == list(range(12))
         # group of self only: the embedding sees (0, 0, 0, p_i)
         feats = np.concatenate([np.zeros((12, 3)), cloud.points], axis=1)
@@ -51,8 +53,9 @@ class TestNeighborEmbed:
         permuted = PointCloud(cloud.points[perm])
         spec = SampleSpec(m=6, variant="fps")
         start_new = int(np.argwhere(perm == 0)[0, 0])
-        f_a, anchors_a = neighbor_embed(cloud, params, spec, fps_start=0)
-        f_b, anchors_b = neighbor_embed(permuted, params, spec, fps_start=start_new)
+        feats_a, anchors_a = group_features(cloud, params, spec, fps_start=0)
+        feats_b, anchors_b = group_features(permuted, params, spec, fps_start=start_new)
+        f_a, f_b = neighbor_embed(feats_a, params), neighbor_embed(feats_b, params)
         # the i-th anchor names the same physical point in both runs
         assert np.array_equal(perm[anchors_b], anchors_a)
         assert np.abs(f_a.data - f_b.data).max() <= 1e-9
@@ -62,13 +65,13 @@ class TestNeighborEmbed:
         cloud = random_cloud(3, n=16)
         params = mini_params()
         reversed_cloud = PointCloud(cloud.points[::-1])
-        f_a, _ = neighbor_embed(cloud, params, anchors=np.array([4]))
-        f_b, _ = neighbor_embed(reversed_cloud, params, anchors=np.array([11]))
+        f_a = neighbor_embed(group_features(cloud, params, anchors=[4])[0], params)
+        f_b = neighbor_embed(group_features(reversed_cloud, params, anchors=[11])[0], params)
         assert np.abs(f_a.data - f_b.data).max() <= 1e-12
 
     def test_requires_sampler_or_anchors(self):
         with pytest.raises(ValueError):
-            neighbor_embed(random_cloud(4, n=8), mini_params())
+            group_features(random_cloud(4, n=8), mini_params())
 
 
 class TestSelfAttentionLayer:

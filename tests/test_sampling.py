@@ -8,6 +8,7 @@ from pcrobust.geometry import PointCloud, random_rotation
 from pcrobust.sampling import (
     InfeasibleSampleError,
     SampleSpec,
+    anchor_profile,
     das_sample,
     density_profile,
     fps_sample,
@@ -289,6 +290,37 @@ class TestRandomSample:
         p = 1.0 / n
         sigma = np.sqrt(p * (1 - p) / trials)
         assert np.abs(counts / trials - p).max() <= 3 * sigma + 1e-9
+
+
+class TestTooFewPoints:
+    @pytest.mark.parametrize("draw", [
+        lambda cloud, m: fps_sample(cloud, m),
+        lambda cloud, m: random_sample(cloud, m, np.random.default_rng(0)),
+    ])
+    def test_more_anchors_than_points_is_infeasible(self, draw):
+        cloud = random_cloud(12, n=5)
+        with pytest.raises(InfeasibleSampleError) as err:
+            draw(cloud, 6)
+        assert (err.value.requested, err.value.available) == (6, 5)
+        with pytest.raises(ValueError) as err:
+            draw(cloud, 0)
+        assert not isinstance(err.value, InfeasibleSampleError)
+
+
+class TestAnchorProfile:
+    def test_one_profile_serves_many_draws(self):
+        cloud = random_cloud(13, n=40)
+        spec = SampleSpec(m=10, k=4, variant="das-l1")
+        profile = anchor_profile(cloud, spec, 1)
+        for seed in range(3):
+            a = das_sample(cloud, spec, np.random.default_rng(seed))
+            b = sample_anchors(cloud, spec, np.random.default_rng(seed), profile=profile)
+            assert np.array_equal(a, b)
+
+    def test_none_for_fps_and_random(self):
+        cloud = random_cloud(14, n=10)
+        for variant in ("fps", "random"):
+            assert anchor_profile(cloud, SampleSpec(m=3, variant=variant), 1) is None
 
 
 class TestSampleSpec:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import math
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from pcrobust.ablate import run_grid, write_table_csv
+from pcrobust.autodiff import backward
 from pcrobust.config import build_dataset_specs
 from pcrobust.corruption import CorruptionSpec, apply_corruption
 from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
@@ -19,15 +22,22 @@ from pcrobust.evaluate import (
     write_report_json,
 )
 from pcrobust.losses import LossConfig, attention_sem_loss
-from pcrobust.model import forward, init_model, save_checkpoint
+from pcrobust.model import (
+    BaselineParams,
+    forward,
+    group_features,
+    init_model,
+    save_checkpoint,
+)
 from pcrobust.sampling import (
     InfeasibleSampleError,
     SampleSpec,
     das_sample,
     density_profile,
 )
-from pcrobust.train import predict
-from pcrobust.train import TrainConfig, TrainingDiverged, train
+from pcrobust.train import SGD, TrainConfig, TrainingDiverged, minibatch_loss, train
+
+from oracles import per_cloud_evaluate, per_cloud_loss
 
 
 def tiny_dataset(seed=0, per_class=8, points=48, classes=("sphere", "plane")):
@@ -54,14 +64,22 @@ def tiny_config(**overrides):
     return TrainConfig(**defaults)
 
 
+# weights for evaluate() calls whose predictions a stub makes
+STUB_PARAMS = init_model(np.random.default_rng(0), n_classes=2, m_anchors=4, d_model=4,
+                         d_attn=2, group_k=2, n_layers=1)
+
+
 @pytest.fixture
 def stub_predict(monkeypatch):
     """Make evaluate() predict with a plain function of the cloud."""
 
     def install(fn):
+        def predict_streams(cloud, params, sampler, streams):
+            return [fn(cloud)] * len(streams), [False] * len(streams)
+
         # the package's ``evaluate`` attribute is the function, not the module
         module = importlib.import_module("pcrobust.evaluate")
-        monkeypatch.setattr(module, "predict", lambda cloud, *args: fn(cloud))
+        monkeypatch.setattr(module, "predict_streams", predict_streams)
 
     return install
 
@@ -131,7 +149,7 @@ class TestEvaluate:
     def test_perfect_stub_all_zero(self, stub_predict):
         dataset = tiny_dataset(per_class=3, points=64)
         stub_predict(lambda c: c.label)
-        report, log = evaluate(None, dataset, kinds=("jitter-gaussian", "scale"))
+        report, log = evaluate(STUB_PARAMS, dataset, kinds=("jitter-gaussian", "scale"))
         assert report.er_clean == 0.0
         assert report.er_cor == 0.0
         assert all(v == 0.0 for v in report.per_cell.values())
@@ -141,14 +159,14 @@ class TestEvaluate:
             per_class=5, points=64, classes=("sphere", "cube", "plane", "torus")
         )
         stub_predict(lambda c: 0)
-        report, _ = evaluate(None, dataset, kinds=())
+        report, _ = evaluate(STUB_PARAMS, dataset, kinds=())
         assert report.er_clean == 0.75
 
     def test_aggregates_recompute_from_log(self, stub_predict):
         dataset = tiny_dataset(per_class=2, points=64)
         stub_predict(lambda c: int(c.points[0, 0] > 0))
         kinds = ("jitter-gaussian", "drop-global")
-        report, log = evaluate(None, dataset, kinds=kinds)
+        report, log = evaluate(STUB_PARAMS, dataset, kinds=kinds)
         # per-kind means over severities, then unweighted mean over kinds
         for kind in kinds:
             cells = [report.per_cell[(kind, s)] for s in range(1, 6)]
@@ -161,7 +179,7 @@ class TestEvaluate:
         dataset = tiny_dataset(per_class=2, points=64)
         stub_predict(lambda c: c.label)
         report, log = evaluate(
-            None, dataset, kinds=("impulse",), severities=(3, 4, 5)
+            STUB_PARAMS, dataset, kinds=("impulse",), severities=(3, 4, 5)
         )
         assert set(report.per_cell) == {("impulse", s) for s in (3, 4, 5)}
 
@@ -254,14 +272,14 @@ class TestCappedAnchors:
         params = init_model(np.random.default_rng(0), n_classes=6)
         sampler = SampleSpec(m=64, k=5, variant="das-l0")
         kinds = ("drop-global", "drop-local", "scale")
-        calls = []  # (anchor count, generator state on entry) per predict()
+        calls = []  # (anchor count, generator state on entry) per anchor draw
 
-        def spy(cloud, params, spec, rng):
+        def spy(cloud, params, spec, rng, profile=None):
             calls.append((spec.m, rng.bit_generator.state))
-            return predict(cloud, params, spec, rng)
+            return group_features(cloud, params, spec, rng, profile=profile)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(importlib.import_module("pcrobust.evaluate"), "predict", spy)
+            mp.setattr(importlib.import_module("pcrobust.evaluate"), "group_features", spy)
             report, log = evaluate(params, test_set, sampler=sampler, kinds=kinds,
                                    severities=(5,), eval_seeds=(0, 1))
         positive = {
@@ -412,3 +430,169 @@ class TestAblate:
         out = tmp_path / "table.csv"
         write_table_csv(rows, out)
         assert out.read_text().splitlines()[0].endswith(",er_clean,er_cor,capped")
+
+
+def _grid_clouds(points=200, per_class=1):
+    return tiny_dataset(per_class=per_class, points=points,
+                        classes=("sphere", "cube", "plane"))
+
+
+class TestBatchedPaths:
+    """One graph per minibatch and graph-free, seed-batched prediction give
+    what one graph or one prediction per cloud gives."""
+
+    @pytest.mark.parametrize(
+        "arch, variant, loss",
+        [
+            ("attention", "das-l0", LossConfig(sem_weight=0.1, sem_layers=(1, 2))),
+            ("attention", "fps", LossConfig(sem_weight=0.3, sem_mode="channel")),
+            ("attention", "random", LossConfig(sem_weight=0.0, sem_mode="off")),
+            ("baseline", "das-l0", LossConfig(sem_weight=0.2, sem_mode="channel")),
+        ],
+    )
+    def test_minibatch_loss_matches_per_cloud_oracle(self, arch, variant, loss):
+        clouds = tiny_dataset(per_class=3, points=64)
+        config = tiny_config(arch=arch, loss=loss,
+                             sampler=SampleSpec(m=8, k=3, variant=variant))
+        params = train(clouds, dataclasses.replace(config, epochs=1)).params
+        oracle_params = params.copy()
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        batched = minibatch_loss(clouds, params, config, itertools.repeat(rng))
+        oracle = per_cloud_loss(clouds, oracle_params, config, oracle_rng)
+        # the same draws, so the same anchors
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert abs(batched.item() - oracle.item()) <= 1e-12 * abs(oracle.item())
+        backward(batched)
+        backward(oracle)
+        for got, want in zip(params.tensors(), oracle_params.tensors()):
+            assert np.abs(got.grad - want.grad).max() <= 1e-12 * np.abs(want.grad).max()
+
+    def test_train_step_matches_per_cloud_oracle(self):
+        clouds = tiny_dataset(per_class=4, points=64)
+        config = tiny_config(sampler=SampleSpec(m=8, k=3), optimizer="sgd", lr=0.1,
+                             epochs=1, batch_size=len(clouds), val_fraction=0.0,
+                             loss=LossConfig(sem_weight=0.1, sem_layers=(1, 2)))
+        trained = train(clouds, config).params
+        # train()'s draws in order: weights, split, epoch order, then anchors
+        rng = np.random.default_rng(config.seed)
+        params = init_model(rng, 2, m_anchors=8, d_model=16, d_attn=4, group_k=4,
+                            n_layers=2)
+        order = rng.permutation(len(clouds))
+        batch = [clouds[i] for i in order[rng.permutation(len(clouds))]]
+        backward(per_cloud_loss(batch, params, config, rng))
+        SGD(params.tensors(), lr=config.lr).step()
+        for got, want in zip(trained.tensors(), params.tensors()):
+            assert np.abs(got.data - want.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["das-l0", "das-ballquery-l0", "fps", "random"])
+    def test_evaluate_matches_per_cloud_oracle(self, variant):
+        # drop-global at severity 5 leaves 50 of 200 points, fewer than m
+        clouds = _grid_clouds()
+        params = init_model(np.random.default_rng(3), n_classes=3, m_anchors=64,
+                            d_model=8, d_attn=4, group_k=4, n_layers=2)
+        sampler = SampleSpec(m=64, k=5, variant=variant)
+        grid = dict(kinds=("drop-global", "impulse"), severities=(1, 5),
+                    eval_seeds=(0, 1, 2), corruption_seed=4)
+        _, log = evaluate(params, clouds, sampler=sampler, **grid)
+        assert log == per_cloud_evaluate(params, clouds, sampler, **grid)
+        assert any(r.capped for r in log)
+
+    @pytest.mark.parametrize("variant", ["das-l0", "fps", "random"])
+    def test_too_few_points_are_capped_for_every_sampler(self, variant):
+        clouds = _grid_clouds()
+        params = init_model(np.random.default_rng(3), n_classes=3, m_anchors=64,
+                            d_model=8, d_attn=4, group_k=4, n_layers=2)
+        report, log = evaluate(params, clouds, sampler=SampleSpec(m=64, variant=variant),
+                               kinds=("drop-global",), severities=(5,), eval_seeds=(0, 1))
+        dropped = [r for r in log if r.kind == "drop-global"]
+        assert dropped and all(r.capped for r in dropped)
+        assert not any(r.capped for r in log if r.kind == "clean")
+        assert report.capped[("drop-global", 5)] == len(dropped)
+
+    def test_one_density_profile_per_variant_cloud(self, monkeypatch):
+        sampling = importlib.import_module("pcrobust.sampling")
+        real, calls = sampling.density_profile, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "density_profile", counting)
+        params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
+                            d_model=8, d_attn=4, group_k=4, n_layers=1)
+        evaluate(params, tiny_dataset(per_class=1, points=64)[:1],
+                 sampler=SampleSpec(m=8, k=3), kinds=("jitter-gaussian",),
+                 severities=(1, 2, 3, 4, 5), eval_seeds=(0, 1, 2, 3, 4))
+        assert len(calls) == 6
+        assert len({id(cloud) for cloud in calls}) == 6
+
+    def test_graph_size_per_step_does_not_grow_with_batch(self, monkeypatch):
+        autodiff = importlib.import_module("pcrobust.autodiff")
+        real, made = autodiff._result, [0]
+
+        def counting(*args):
+            made[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(autodiff, "_result", counting)
+        dataset = tiny_dataset(per_class=8, points=48)
+        per_step = []
+        for batch_size in (2, 8):
+            made[0] = 0
+            train(dataset, tiny_config(batch_size=batch_size, epochs=1, val_fraction=0.0,
+                                       loss=LossConfig(sem_weight=0.1, sem_layers=(1, 2))))
+            per_step.append(made[0] / (len(dataset) // batch_size))
+        assert per_step[0] == per_step[1]
+
+    def test_predictions_build_no_graph(self, monkeypatch):
+        traces = []
+
+        def spy(module):
+            real = module.network
+
+            def recording(inputs, params):
+                trace = real(inputs, params)
+                traces.append((len(inputs), trace))
+                return trace
+
+            monkeypatch.setattr(module, "network", recording)
+
+        dataset = tiny_dataset(per_class=5, points=48)
+        spy(importlib.import_module("pcrobust.train"))
+        result = train(dataset, tiny_config(epochs=2, batch_size=4))
+        # 2 validation clouds per epoch, in one batch; the rest trained
+        validation = [t for _, t in traces if not t.logits.requires_grad]
+        assert [n for n, t in traces if not t.logits.requires_grad] == [2, 2]
+        assert len(traces) == 2 * (2 + 1)
+        traces.clear()
+        spy(importlib.import_module("pcrobust.evaluate"))
+        evaluate(result.params, dataset, sampler=SampleSpec(m=8, k=3),
+                 kinds=("scale",), severities=(1,), eval_seeds=(0, 1, 2))
+        assert [n for n, _ in traces] == [3] * len(dataset) * 2
+        for _, trace in traces + [(0, t) for t in validation]:
+            assert trace.logits._prev == () and not trace.logits.requires_grad
+            assert all(t._prev == () for t in trace.attention_maps)
+
+
+class TestBaselineArch:
+    def test_attention_sem_is_rejected(self):
+        with pytest.raises(ValueError, match="sem_mode 'attention'.*arch 'baseline'"):
+            TrainConfig(arch="baseline")
+        TrainConfig(arch="baseline", loss=LossConfig(sem_mode="channel"))
+
+    def test_trains_and_evaluates_with_channel_sem(self):
+        dataset = tiny_dataset(per_class=4)
+        cfg = tiny_config(arch="baseline", epochs=2,
+                          loss=LossConfig(sem_weight=0.1, sem_mode="channel"))
+        result = train(dataset, cfg)
+        assert isinstance(result.params, BaselineParams)
+        assert all(np.isfinite(row["train_loss"]) for row in result.curve)
+        grid = dict(kinds=("scale",), severities=(1, 2), eval_seeds=(0, 1))
+        _, log = evaluate(result.params, dataset, sampler=result.sampler, **grid)
+        assert log == per_cloud_evaluate(result.params, dataset, result.sampler, **grid)
+
+    def test_clouds_of_different_sizes_are_rejected(self):
+        dataset = tiny_dataset(per_class=2) + tiny_dataset(seed=1, per_class=2, points=40)
+        with pytest.raises(ValueError, match="sizes"):
+            train(dataset, tiny_config(arch="baseline",
+                                       loss=LossConfig(sem_mode="off")))
