@@ -19,11 +19,14 @@ def run_grid(
     kinds=ALL_KINDS,
     eval_seeds=(0, 1, 2, 3, 4),
     corruption_seed: int = 0,
+    axes=(),
 ):
-    """One row per flat config dict: the config's grid columns plus metrics."""
+    """One row per flat config dict: GRID_COLUMNS, then each key of ``axes``
+    they do not list, then metrics. All configs are built before training."""
+    columns = GRID_COLUMNS + tuple(k for k in axes if k not in GRID_COLUMNS)
+    train_configs = [build_train_config(cfg) for cfg in configs]
     rows = []
-    for cfg in configs:
-        tc = build_train_config(cfg)
+    for cfg, tc in zip(configs, train_configs):
         result = train(train_set, tc)
         report, _ = evaluate(
             result.params,
@@ -33,7 +36,7 @@ def run_grid(
             eval_seeds=eval_seeds,
             corruption_seed=corruption_seed,
         )
-        row = {key: cfg.get(key, "") for key in GRID_COLUMNS}
+        row = {key: cfg.get(key, "") for key in columns}
         row["er_clean"] = report.er_clean
         row["er_cor"] = report.er_cor
         row["capped"] = sum(report.capped.values())
@@ -42,8 +45,8 @@ def run_grid(
 
 
 def write_table_csv(rows, path) -> None:
-    columns = list(GRID_COLUMNS) + ["er_clean", "er_cor", "capped"]
+    """The rows as CSV, columns in the order ``run_grid`` gave them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)

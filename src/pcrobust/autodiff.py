@@ -4,13 +4,13 @@ Tensors wrap float64 numpy arrays; the tape is the implicit graph of
 ``_prev`` references. Every op makes one call, ``_result(data, parents,
 pullback)``: ``pullback(g)`` is a pure function of the output gradient
 that returns one gradient per parent, in parent order, and mutates
-nothing. ``backward`` alone accumulates those gradients into the parents
-that require them, in the deterministic reverse topological order of
-construction. Accumulation is out of place (``grad + g``, never
-``grad += g``) because a pullback may hand the same array, or views of
-it, to several parents, as ``add`` and ``concat`` do. A pullback closes
-over the op's inputs, never over its output tensor, so a dropped graph is
-freed by reference counting alone.
+nothing (``linear`` returns None for a constant input). ``backward``
+alone accumulates those gradients into the parents that require them, in
+the deterministic reverse topological order of construction. Accumulation
+is out of place (``grad + g``, never ``grad += g``) because a pullback
+may hand the same array, or views of it, to several parents, as ``add``
+and ``concat`` do. A pullback closes over the op's inputs, never over its
+output tensor, so a dropped graph is freed by reference counting alone.
 
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
@@ -247,7 +247,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def pullback(g):
         g = _rows(g)
-        return (g @ w.data.T).reshape(x.data.shape), _rows(x.data).T @ g, g.sum(axis=0)
+        gx = (g @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        return gx, _rows(x.data).T @ g, g.sum(axis=0)
 
     return _result(data.reshape(x.data.shape[:-1] + b.data.shape), (x, w, b), pullback)
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import cloudio
 from .ablate import run_grid, write_table_csv
 from .config import (
+    KEYS,
     build_dataset_specs,
     build_train_config,
     expand_grid,
@@ -39,7 +40,7 @@ from .train import train
 
 def cmd_sample(args) -> int:
     cloud = cloudio.read_cloud(args.input)
-    spec = SampleSpec(m=args.m, k=args.k, variant=args.sampler, seed=args.seed)
+    spec = SampleSpec(m=args.m, k=args.k, variant=args.sampler)
     idx = sample_anchors(cloud, spec, np.random.default_rng(args.seed))
     Path(args.output).write_text("".join(f"{i}\n" for i in idx))
     if args.cloud_output:
@@ -86,14 +87,13 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     _write_split(gen_dataset(train_spec), train_spec, out / "train")
     _write_split(gen_dataset(test_spec), test_spec, out / "test")
-    manifest = [
-        f"classes = {','.join(train_spec.classes)}",
-        f"train_per_class = {train_spec.per_class}",
-        f"test_per_class = {test_spec.per_class}",
-        f"points = {train_spec.points}",
-        f"data_seed = {train_spec.seed}",
-    ]
-    (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
+    specs = {"data": train_spec, "test": test_spec}
+    manifest = []
+    for key, (owner, field, _) in KEYS.items():
+        if owner in specs:
+            value = getattr(specs[owner], field)
+            manifest.append(f"{key} = {','.join(value) if isinstance(value, tuple) else value}\n")
+    (out / "manifest.txt").write_text("".join(manifest))
     print(f"wrote dataset to {out}")
     return 0
 
@@ -174,13 +174,13 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = parse_flat_file(args.grid)
-    _, configs = expand_grid(cfg)
+    axes, configs = expand_grid(cfg)
     train_spec, test_spec = build_dataset_specs(cfg)
     train_set = gen_dataset(train_spec)
     test_set = gen_dataset(test_spec)
     kinds = _parse_kinds(args.kinds) if args.kinds else ALL_KINDS
     rows = run_grid(train_set, test_set, configs, kinds=kinds,
-                    corruption_seed=args.corruption_seed)
+                    corruption_seed=args.corruption_seed, axes=axes)
     write_table_csv(rows, args.out)
     print(f"wrote {len(rows)} ablation rows to {args.out}")
     return 0
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=SAMPLER_VARIANTS, default="das-l0")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the generator das-* and random draw from")
     p.add_argument("--output", required=True)
     p.add_argument("--cloud-output")
     p.set_defaults(func=cmd_sample)

@@ -2,150 +2,151 @@
 
 Format: one ``key = value`` per line, ``#`` comments, blank lines ignored.
 Lists use commas (``classes = sphere,cube``); ablation-grid axes separate
-alternative values with ``|`` (``lambda = 0|0.1``). Key reference lives in
-the README.
+alternative values with ``|`` (``lambda = 0|0.1``). Each key in ``KEYS``
+sets one dataclass field; a missing key leaves the field's default. Key
+reference lives in the README.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from pathlib import Path
 
-from .data import SHAPE_GENERATORS, SyntheticDatasetSpec
-from .losses import LossConfig
-from .sampling import SampleSpec
+from .data import SyntheticDatasetSpec, derive_seed
 from .train import TrainConfig
 
 
-def parse_flat_file(path) -> dict:
-    out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+class ConfigError(ValueError):
+    """A malformed run config; the message names the key (and path:line)."""
+
+
+class FlatConfig(dict):
+    """Key -> value text; ``source[key]`` is "path:line" for a key from a file."""
+
+    def __init__(self, items=(), source=None):
+        super().__init__(items)
+        self.source = dict(source or {})
+
+
+def _names(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _ints(text):
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+# key -> (owner, field, parser). The owner is "data" (SyntheticDatasetSpec),
+# "test" (the test split's spec) or "train" (TrainConfig); "loss.tau" is
+# TrainConfig.loss.tau. Keys land one at a time in table order, each
+# validated as it lands, so a key that another's validity depends on comes
+# first: n_layers before sem_layers, and the loss keys before arch.
+KEYS = {
+    "classes": ("data", "classes", _names),
+    "train_per_class": ("data", "per_class", int),
+    "test_per_class": ("test", "per_class", int),
+    "points": ("data", "points", int),
+    "data_seed": ("data", "seed", int),
+    "n_layers": ("train", "n_layers", int),
+    "lambda": ("train", "loss.sem_weight", float),
+    "tau": ("train", "loss.tau", float),
+    "sem_mode": ("train", "loss.sem_mode", str),
+    "sem_layers": ("train", "loss.sem_layers", _ints),
+    "smoothing_eps": ("train", "loss.smoothing_eps", float),
+    "arch": ("train", "arch", str),
+    "m_anchors": ("train", "sampler.m", int),
+    "sampler": ("train", "sampler.variant", str),
+    "sampler_k": ("train", "sampler.k", int),
+    "d_model": ("train", "d_model", int),
+    "d_attn": ("train", "d_attn", int),
+    "group_k": ("train", "group_k", int),
+    "epochs": ("train", "epochs", int),
+    "batch_size": ("train", "batch_size", int),
+    "lr": ("train", "lr", float),
+    "optimizer": ("train", "optimizer", str),
+    "seed": ("train", "seed", int),
+    "val_fraction": ("train", "val_fraction", float),
+}
+
+TEST_PER_CLASS = 30  # the test split's size has no dataclass of its own
+
+
+def _error(cfg, key, reason) -> ConfigError:
+    where = getattr(cfg, "source", {}).get(key)
+    return ConfigError(f"{where}: {reason}" if where else reason)
+
+
+def parse_flat_file(path) -> FlatConfig:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    out = FlatConfig()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        where = f"{path}:{lineno}"
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{where}: {key}: repeated key, first set at {out.source[key]}")
+        out[key], out.source[key] = value, where
     return out
 
 
-def _int_list(text):
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _replace(obj, path, value):
+    """``obj`` with the field at ``path`` (a list of field names) set to value."""
+    head, *rest = path
+    return dataclasses.replace(
+        obj, **{head: _replace(getattr(obj, head), rest, value) if rest else value})
 
 
-DEFAULTS = {
-    "classes": ",".join(SHAPE_GENERATORS),
-    "train_per_class": "100",
-    "test_per_class": "30",
-    "points": "256",
-    "data_seed": "0",
-    "arch": "attention",
-    "m_anchors": "64",
-    "d_model": "64",
-    "d_attn": "16",
-    "group_k": "8",
-    "n_layers": "4",
-    "sampler": "das-l0",
-    "sampler_k": "5",
-    "lambda": "0.1",
-    "tau": "1.0",
-    "sem_mode": "attention",
-    # sem_layers defaults to all attention layers (1..n_layers)
-    "smoothing_eps": "0.2",
-    "epochs": "60",
-    "batch_size": "16",
-    "lr": "0.001",
-    "optimizer": "adam",
-    "seed": "0",
-    "val_fraction": "0.2",
-}
-
-
-class ConfigError(ValueError):
-    """A run config with keys that no setting reads."""
-
-
-def _merged(cfg: dict) -> dict:
-    """The config over DEFAULTS; raises ConfigError for any unknown key."""
-    unknown = sorted(set(cfg) - set(DEFAULTS) - {"sem_layers"})
+def _build(obj, cfg: dict, owner: str):
+    """``obj`` with every key of ``cfg`` that ``owner`` reads applied in table
+    order; any unknown key, unparsable value or rejected setting raises
+    ConfigError naming the key."""
+    unknown = sorted(set(cfg) - set(KEYS))
     if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
-    return {**DEFAULTS, **cfg}
+        raise _error(cfg, unknown[0], f"unknown config keys {unknown}")
+    for key, (key_owner, field, parse) in KEYS.items():
+        if key_owner != owner or key not in cfg:
+            continue
+        text = cfg[key]
+        try:
+            if "|" in text:
+                raise ValueError("'|' alternatives are read only by ablate grids, "
+                                 "on training keys")
+            obj = _replace(obj, field.split("."), parse(text))
+        except ValueError as exc:
+            raise _error(cfg, key, f"{key} = {text!r}: {exc}") from exc
+    return obj
 
 
 def build_dataset_specs(cfg: dict):
     """(train spec, test spec) from config keys; test uses a derived seed."""
-    from .data import derive_seed
-
-    merged = _merged(cfg)
-    classes = tuple(c.strip() for c in merged["classes"].split(",") if c.strip())
-    base = dict(
-        classes=classes,
-        points=int(merged["points"]),
-    )
-    seed = int(merged["data_seed"])
-    train_spec = SyntheticDatasetSpec(
-        per_class=int(merged["train_per_class"]), seed=seed, **base
-    )
-    test_spec = SyntheticDatasetSpec(
-        per_class=int(merged["test_per_class"]),
-        seed=derive_seed(seed, "test-split"),
-        **base,
-    )
-    return train_spec, test_spec
+    train_spec = _build(SyntheticDatasetSpec(), cfg, "data")
+    test_spec = dataclasses.replace(train_spec, per_class=TEST_PER_CLASS,
+                                    seed=derive_seed(train_spec.seed, "test-split"))
+    return train_spec, _build(test_spec, cfg, "test")
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    merged = _merged(cfg)
-    n_layers = int(merged["n_layers"])
-    sampler = SampleSpec(
-        m=int(merged["m_anchors"]),
-        k=int(merged["sampler_k"]),
-        variant=merged["sampler"],
-        seed=int(merged["seed"]),
-    )
-    if "sem_layers" in merged:
-        sem_layers = _int_list(merged["sem_layers"])
-    else:
-        sem_layers = tuple(range(1, n_layers + 1))
-    loss = LossConfig(
-        sem_weight=float(merged["lambda"]),
-        tau=float(merged["tau"]),
-        sem_mode=merged["sem_mode"],
-        sem_layers=sem_layers,
-        smoothing_eps=float(merged["smoothing_eps"]),
-    )
-    return TrainConfig(
-        sampler=sampler,
-        loss=loss,
-        arch=merged["arch"],
-        d_model=int(merged["d_model"]),
-        d_attn=int(merged["d_attn"]),
-        group_k=int(merged["group_k"]),
-        n_layers=n_layers,
-        epochs=int(merged["epochs"]),
-        batch_size=int(merged["batch_size"]),
-        lr=float(merged["lr"]),
-        optimizer=merged["optimizer"],
-        seed=int(merged["seed"]),
-        val_fraction=float(merged["val_fraction"]),
-    )
+    return _build(TrainConfig(), cfg, "train")
 
 
 def expand_grid(cfg: dict):
     """Cartesian product over keys whose value contains ``|`` alternatives.
 
-    Returns (axis key list, list of flat configs in deterministic order).
+    Returns (axis key list, list of flat configs in deterministic order);
+    each config keeps the file positions of ``cfg``.
     """
-    axes = {k: v.split("|") for k, v in cfg.items() if "|" in v}
-    fixed = {k: v for k, v in cfg.items() if "|" not in v}
-    if not axes:
-        return [], [dict(fixed)]
-    keys = sorted(axes)
+    keys = sorted(k for k, v in cfg.items() if "|" in v)
     combos = []
-    for values in itertools.product(*(axes[k] for k in keys)):
-        combo = dict(fixed)
-        combo.update({k: v.strip() for k, v in zip(keys, values)})
+    for values in itertools.product(*(cfg[k].split("|") for k in keys)):
+        combo = FlatConfig(cfg, getattr(cfg, "source", {}))
+        combo.update((k, v.strip()) for k, v in zip(keys, values))
         combos.append(combo)
     return keys, combos

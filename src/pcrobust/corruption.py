@@ -16,18 +16,6 @@ import numpy as np
 from .data import derive_seed
 from .geometry import PointCloud, axis_angle_rotation
 
-ALL_KINDS = (
-    "scale",
-    "rotate",
-    "jitter-gaussian",
-    "jitter-uniform",
-    "impulse",
-    "drop-global",
-    "drop-local",
-    "add-global",
-    "add-local",
-)
-
 # per-severity magnitude parameters; value at severity s is param * s
 SCHEDULE = {
     "scale": {"log_factor_bound": 0.1},       # factors in [1/(1+0.1s), 1+0.1s]
@@ -40,6 +28,7 @@ SCHEDULE = {
     "add-global": {"add_frac": 0.05},
     "add-local": {"add_frac": 0.05, "sigma": 0.05},
 }
+ALL_KINDS = tuple(SCHEDULE)
 
 _DROP_ADD_KINDS = ("drop-global", "drop-local", "add-global", "add-local")
 

@@ -125,6 +125,8 @@ class SyntheticDatasetSpec:
             raise ValueError("need at least 2 classes")
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
+        if self.points < 1:
+            raise ValueError("points must be >= 1")
         unknown = [c for c in self.classes if c not in SHAPE_GENERATORS]
         if unknown:
             raise ValueError(f"unknown shape classes {unknown}")

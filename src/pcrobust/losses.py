@@ -16,25 +16,27 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-SEM_MODES = ("attention", "channel", "off")
+SEM_MODES = ("attention", "channel")
 
 
 @dataclass(frozen=True)
 class LossConfig:
     """Objective configuration.
 
-    sem_weight: weight of the entropy term in the joint loss (lambda)
+    sem_weight: weight of the entropy term in the joint loss (lambda);
+        0 turns the term off
     tau: temperature of the entropy-term softmax
-    sem_mode: "attention" (row-wise on attention scores), "channel"
-        (column-wise on point features), or "off"
-    sem_layers: 1-based attention layers the row-wise term averages over
+    sem_mode: "attention" (row-wise on attention scores) or "channel"
+        (column-wise on point features)
+    sem_layers: 1-based attention layers the row-wise term averages over;
+        None means every layer the model has
     smoothing_eps: label-smoothing mass spread over the wrong classes
     """
 
     sem_weight: float = 0.1
     tau: float = 1.0
     sem_mode: str = "attention"
-    sem_layers: tuple = (1, 2, 3, 4)
+    sem_layers: tuple | None = None
     smoothing_eps: float = 0.2
 
     def __post_init__(self):
@@ -43,12 +45,13 @@ class LossConfig:
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.sem_mode not in SEM_MODES:
-            raise ValueError(f"unknown sem_mode {self.sem_mode!r}")
-        if self.sem_mode == "attention" and not self.sem_layers:
+            raise ValueError(f"unknown sem_mode {self.sem_mode!r}; sem_weight 0 turns SEM off")
+        if self.sem_mode == "attention" and self.sem_layers == ():
             raise ValueError("sem_layers must be nonempty in attention mode")
         if not 0 <= self.smoothing_eps < 1:
             raise ValueError("smoothing_eps must be in [0, 1)")
-        object.__setattr__(self, "sem_layers", tuple(sorted(self.sem_layers)))
+        if self.sem_layers is not None:
+            object.__setattr__(self, "sem_layers", tuple(sorted(self.sem_layers)))
 
 
 def _as_tensor(x) -> Tensor:
@@ -70,15 +73,15 @@ def row_entropy(row, tau: float = 1.0) -> Tensor:
     return ad.mean(_row_entropies(t, tau))
 
 
-def attention_sem_loss(maps, sem_layers, tau: float = 1.0) -> Tensor:
+def attention_sem_loss(maps, sem_layers=None, tau: float = 1.0) -> Tensor:
     """Mean row entropy of the selected pre-softmax attention maps.
 
     ``maps`` holds one (M, M) score tensor per attention layer in order,
     or a (B, M, M) stack for a batch; ``sem_layers`` selects 1-based
-    layers. The result averages over the selected layers and over rows (of
-    every cloud of a batch).
+    layers, None all of them. The result averages over the selected layers
+    and over rows (of every cloud of a batch).
     """
-    layers = sorted(set(sem_layers))
+    layers = sorted(set(range(1, len(maps) + 1) if sem_layers is None else sem_layers))
     if not layers:
         raise ValueError("sem_layers must be nonempty")
     if any(l < 1 or l > len(maps) for l in layers):
@@ -125,8 +128,6 @@ def smoothed_cross_entropy(logits, label, eps: float = 0.0) -> Tensor:
     return ad.mul_scalar(ad.tsum(ad.mul(log_q, Tensor(target))), -1.0 / labels.size)
 
 
-def total_loss(ce: Tensor, sem: Tensor | None, sem_weight: float) -> Tensor:
+def total_loss(ce: Tensor, sem: Tensor, sem_weight: float) -> Tensor:
     """Joint objective: classification loss plus weighted entropy term."""
-    if sem is None or sem_weight == 0.0:
-        return ce
     return ad.add(ce, ad.mul_scalar(sem, sem_weight))

@@ -53,12 +53,11 @@ class DensityProfile:
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """How to pick anchors: count, density neighborhood size, strategy, seed."""
+    """How to pick anchors: count, density neighborhood size, strategy."""
 
     m: int
     k: int = 5
     variant: str = "das-l0"
-    seed: int = 0
 
     def __post_init__(self):
         if self.variant not in SAMPLER_VARIANTS:
@@ -209,10 +208,10 @@ def sample_anchors(
     profile=None,
 ) -> np.ndarray:
     """Dispatch to the strategy named by spec.variant; DAS may reuse ``profile``."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     if spec.variant == "fps":
         return fps_sample(cloud, spec.m, fps_start)
+    if rng is None:
+        raise ValueError(f"sampler {spec.variant!r} draws at random: pass a generator")
     if spec.variant == "random":
         return random_sample(cloud, spec.m, rng)
     return das_sample(cloud, spec, rng, profile)

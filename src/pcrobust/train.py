@@ -65,11 +65,11 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, lr must be positive")
         if not 0 <= self.val_fraction < 1:
             raise ValueError("val_fraction must be in [0, 1)")
-        if self.loss.sem_mode == "attention":
+        if self.loss.sem_weight > 0 and self.loss.sem_mode == "attention":
             n = self.n_layers if self.arch == "attention" else 0
-            bad = [l for l in self.loss.sem_layers if not 1 <= l <= n]
-            if bad:
-                raise ValueError(f"loss.sem_mode 'attention' reads sem_layers {bad}, "
+            bad = [l for l in self.loss.sem_layers or () if not 1 <= l <= n]
+            if bad or not n:
+                raise ValueError(f"loss.sem_mode 'attention' reads sem_layers {bad or 'all'}, "
                                  f"but arch {self.arch!r} has {n} attention layers")
 
 
@@ -130,7 +130,7 @@ def minibatch_loss(clouds, params, config, rngs):
     trace = network(_stack_inputs(clouds, params, config.sampler, rngs), params)
     cfg = config.loss
     ce = smoothed_cross_entropy(trace.logits, [c.label for c in clouds], cfg.smoothing_eps)
-    if cfg.sem_mode == "off" or cfg.sem_weight == 0.0:
+    if cfg.sem_weight == 0.0:
         return ce
     if cfg.sem_mode == "attention":
         sem = attention_sem_loss(trace.attention_maps, cfg.sem_layers, cfg.tau)

@@ -121,7 +121,7 @@ def per_cloud_loss(clouds, params, config, rng):
         else:
             trace = baseline_forward(cloud, params)
         loss = smoothed_cross_entropy(trace.logits, cloud.label, loss_cfg.smoothing_eps)
-        if loss_cfg.sem_mode != "off" and loss_cfg.sem_weight != 0.0:
+        if loss_cfg.sem_weight != 0.0:
             if loss_cfg.sem_mode == "attention":
                 sem = attention_sem_loss(trace.attention_maps, loss_cfg.sem_layers,
                                          loss_cfg.tau)

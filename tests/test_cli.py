@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +11,18 @@ import pytest
 import pcrobust.cli as cli
 from pcrobust import cloudio
 from pcrobust.cli import main
-from pcrobust.config import ConfigError, build_train_config, expand_grid, parse_flat_file
+from pcrobust.config import (
+    KEYS,
+    ConfigError,
+    build_dataset_specs,
+    build_train_config,
+    expand_grid,
+    parse_flat_file,
+)
+from pcrobust.data import SyntheticDatasetSpec, derive_seed
 from pcrobust.model import init_model, save_checkpoint
 from pcrobust.sampling import SAMPLER_VARIANTS, SampleSpec
+from pcrobust.train import TrainConfig
 
 from conftest import random_cloud
 
@@ -211,6 +223,25 @@ class TestEndToEnd:
         main(["train", "--config", str(cfg), "--out", str(c2)])
         assert c1.read_bytes() == c2.read_bytes()
 
+    def test_every_grid_axis_has_a_column(self, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(
+            "classes = sphere,plane\ntrain_per_class = 4\ntest_per_class = 2\n"
+            "points = 48\nd_model = 16\nd_attn = 4\ngroup_k = 4\nn_layers = 2\n"
+            "epochs = 1\nbatch_size = 8\nsampler = fps\nlambda = 0\n"
+            "m_anchors = 4|8\narch = attention|baseline\n"
+        )
+        out = tmp_path / "table.csv"
+        assert main(["ablate", "--grid", str(grid), "--out", str(out),
+                     "--kinds", "scale"]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["sampler", "sampler_k", "lambda", "tau", "sem_layers",
+                                 "seed", "arch", "m_anchors", "er_clean", "er_cor",
+                                 "capped"]
+        assert [(r["arch"], r["m_anchors"]) for r in rows] == [
+            ("attention", "4"), ("attention", "8"), ("baseline", "4"), ("baseline", "8")]
+
 
 class TestEvalSamplerOverride:
     @pytest.fixture
@@ -304,3 +335,59 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="lamda"):
             main(["train", "--config", str(cfg), "--out", str(ckpt)])
         assert not ckpt.exists()
+
+    def test_missing_keys_take_dataclass_defaults(self):
+        assert build_train_config({}) == TrainConfig()
+        test_spec = dataclasses.replace(SyntheticDatasetSpec(), per_class=30,
+                                        seed=derive_seed(0, "test-split"))
+        assert build_dataset_specs({}) == (SyntheticDatasetSpec(), test_spec)
+
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            ("seed = 1\nepochs = abc\n", 2, "epochs"),
+            ("lr = fast\n", 1, "lr"),
+            ("sem_layers = 1,x\n", 1, "sem_layers"),
+            ("epochs = 2\nseed = 1\nepochs = 3\n", 3, "epochs"),
+            ("lambda = 0|0.1\n", 1, "lambda"),
+            ("seed = 1\nlamda = 0.5\n", 2, "lamda"),
+            ("points = 0\n", 1, "points"),
+            ("arch = baseline\nlambda = 0.2\n", 1, "arch"),
+        ],
+        ids=["int", "float", "list", "repeated", "grid-value", "unknown", "points-0",
+             "baseline-attention-sem"],
+    )
+    def test_malformed_config_names_file_line_and_key(self, tmp_path, text, line, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        where = re.escape(f"{path}:{line}: ")
+        with pytest.raises(ConfigError, match=rf"^{where}.*\b{key}\b"):
+            cfg = parse_flat_file(path)
+            build_dataset_specs(cfg)
+            build_train_config(cfg)
+
+    def test_malformed_dict_config_names_key(self):
+        with pytest.raises(ConfigError, match=r"^epochs = 'abc': invalid literal"):
+            build_train_config({"epochs": "abc"})
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"epochs = \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            parse_flat_file(path)
+
+    def test_keys_apply_in_table_order(self):
+        # a key lands after the keys its validity depends on, in any file order
+        tc = build_train_config({"sem_layers": "6,5", "n_layers": "6"})
+        assert (tc.n_layers, tc.loss.sem_layers) == (6, (5, 6))
+        assert build_train_config({"arch": "baseline", "lambda": "0"}).arch == "baseline"
+        tc = build_train_config({"arch": "baseline", "sem_mode": "channel"})
+        assert tc.loss.sem_mode == "channel"
+
+    def test_readme_key_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Run-config format", 1)[1].split("\n## ", 1)[0]
+        first_cells = [row.split("|")[1] for row in section.splitlines()
+                       if row.startswith("| `")]
+        documented = {name for cell in first_cells for name in re.findall(r"`(\w+)`", cell)}
+        assert documented == set(KEYS)

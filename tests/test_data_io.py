@@ -214,6 +214,8 @@ class TestSyntheticData:
             SyntheticDatasetSpec(classes=("sphere", "blob"))
         with pytest.raises(ValueError):
             SyntheticDatasetSpec(per_class=0)
+        with pytest.raises(ValueError, match="points"):
+            SyntheticDatasetSpec(points=0)
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)

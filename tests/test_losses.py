@@ -234,6 +234,8 @@ class TestTotalLoss:
             LossConfig(sem_mode="nope")
         with pytest.raises(ValueError):
             LossConfig(sem_mode="attention", sem_layers=())
+        with pytest.raises(ValueError, match="sem_weight 0 turns SEM off"):
+            LossConfig(sem_mode="off")
 
 
 class TestDescentSanity:

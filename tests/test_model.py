@@ -33,6 +33,17 @@ def mini_params(seed=0, **overrides):
 
 
 class TestNeighborEmbed:
+    def test_first_embed_layer_yields_no_input_gradient(self):
+        params = mini_params()
+        feats, _ = group_features(random_cloud(3, n=20), params, anchors=np.arange(8))
+        # max_axis <- linear(w2) <- relu <- linear(feats, w1, b1)
+        first = neighbor_embed(feats, params)._prev[0]._prev[0]._prev[0]
+        assert first._prev[1:] == (params.embed_w1, params.embed_b1)
+        g_feats, g_w1, g_b1 = first._pullback(np.ones_like(first.data))
+        assert g_feats is None
+        assert g_w1.shape == params.embed_w1.data.shape
+        assert g_b1.shape == params.embed_b1.data.shape
+
     def test_identity_sampling_group_of_self(self):
         cloud = random_cloud(0, n=12)
         params = mini_params(group_k=1)

@@ -348,10 +348,15 @@ class TestSampleSpec:
         spread = rng.standard_normal((10, 3))
         cloud = PointCloud(np.vstack([blob, spread]))
         for variant in ("das-l0", "das-l1", "das-ballquery-l0", "fps", "random"):
-            spec = SampleSpec(m=5, variant=variant, seed=3)
-            out = sample_anchors(cloud, spec)
+            spec = SampleSpec(m=5, variant=variant)
+            out = sample_anchors(cloud, spec, np.random.default_rng(3))
             assert len(out) == 5
             assert len(set(out.tolist())) == 5
+
+    @pytest.mark.parametrize("variant", ["das-l0", "das-ballquery-l0", "random"])
+    def test_random_variants_need_a_generator(self, variant):
+        with pytest.raises(ValueError, match="pass a generator"):
+            sample_anchors(random_cloud(14, n=32), SampleSpec(m=4, variant=variant))
 
     def test_ballquery_infeasible_on_sparse_cloud(self):
         # no two points within the ball radius: a handful of pairs get the

@@ -50,7 +50,7 @@ def tiny_dataset(seed=0, per_class=8, points=48, classes=("sphere", "plane")):
 def tiny_config(**overrides):
     defaults = dict(
         sampler=SampleSpec(m=8, k=3, variant="fps"),
-        loss=LossConfig(sem_weight=0.0, sem_mode="off"),
+        loss=LossConfig(sem_weight=0.0),
         d_model=16,
         d_attn=4,
         group_k=4,
@@ -105,6 +105,18 @@ class TestTrain:
         assert np.isfinite(sem)
         assert sem <= math.log(cfg.sampler.m) + 1e-9
         assert all(np.isfinite(row["train_loss"]) for row in result.curve)
+
+    def test_sem_layers_default_to_every_layer(self):
+        # n_layers 2 with the default loss: no sem_layers to spell out
+        dataset = tiny_dataset(per_class=2)
+        cfg = tiny_config(loss=LossConfig(), epochs=1)
+        assert cfg.n_layers == 2
+        result = train(dataset, cfg)
+        assert all(np.isfinite(row["train_loss"]) for row in result.curve)
+        explicit = dataclasses.replace(cfg, loss=LossConfig(sem_layers=(1, 2)))
+        losses = [minibatch_loss(dataset, result.params, c, itertools.repeat(None)).item()
+                  for c in (cfg, explicit)]
+        assert losses[0] == losses[1]
 
     def test_bitwise_identical_checkpoints(self, tmp_path):
         dataset = tiny_dataset(per_class=4)
@@ -446,7 +458,7 @@ class TestBatchedPaths:
         [
             ("attention", "das-l0", LossConfig(sem_weight=0.1, sem_layers=(1, 2))),
             ("attention", "fps", LossConfig(sem_weight=0.3, sem_mode="channel")),
-            ("attention", "random", LossConfig(sem_weight=0.0, sem_mode="off")),
+            ("attention", "random", LossConfig(sem_weight=0.0)),
             ("baseline", "das-l0", LossConfig(sem_weight=0.2, sem_mode="channel")),
         ],
     )
@@ -579,6 +591,7 @@ class TestBaselineArch:
         with pytest.raises(ValueError, match="sem_mode 'attention'.*arch 'baseline'"):
             TrainConfig(arch="baseline")
         TrainConfig(arch="baseline", loss=LossConfig(sem_mode="channel"))
+        TrainConfig(arch="baseline", loss=LossConfig(sem_weight=0.0))
 
     def test_trains_and_evaluates_with_channel_sem(self):
         dataset = tiny_dataset(per_class=4)
@@ -595,4 +608,4 @@ class TestBaselineArch:
         dataset = tiny_dataset(per_class=2) + tiny_dataset(seed=1, per_class=2, points=40)
         with pytest.raises(ValueError, match="sizes"):
             train(dataset, tiny_config(arch="baseline",
-                                       loss=LossConfig(sem_mode="off")))
+                                       loss=LossConfig(sem_weight=0.0)))
