@@ -25,7 +25,6 @@ from .model import (
     CheckpointFormatError,
     ForwardTrace,
     ModelParams,
-    baseline_forward,
     forward,
     init_baseline,
     init_model,
@@ -73,7 +72,6 @@ __all__ = [
     "apply_corruption",
     "attention_sem_loss",
     "backward",
-    "baseline_forward",
     "channel_sem_loss",
     "corruption_suite",
     "das_sample",

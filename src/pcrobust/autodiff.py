@@ -141,12 +141,6 @@ def transpose(a: Tensor) -> Tensor:
     return _result(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    # a view: only the optimizers write .data in place, after backward
-    data = a.data.reshape(shape)
-    return _result(data, (a,), lambda g: (g.reshape(a.data.shape),))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     axis %= tensors[0].data.ndim
@@ -162,15 +156,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(a.data, 0.0), (a,), lambda g: ((a.data > 0.0) * g,))
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            data = np.log(a.data)
-        except FloatingPointError as exc:
-            raise NonFiniteError("log of non-positive value") from exc
-    return _result(data, (a,), lambda g: (g / a.data,))
 
 
 def exp(a: Tensor) -> Tensor:

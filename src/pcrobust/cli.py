@@ -133,12 +133,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_kinds(text):
-    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
-    unknown = [k for k in kinds if k not in ALL_KINDS]
-    if unknown:
-        raise ValueError(f"unknown corruption kinds {unknown}")
-    return kinds
+def _comma_list(parse, what):
+    """An argparse ``type``: a non-empty comma-separated list read by ``parse``."""
+    def read(text):
+        try:
+            values = tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+        except ValueError:
+            values = ()
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a list of {what}")
+        return values
+    return read
+
+
+def _among(options):
+    """A parser that reads a value of the options' type and accepts only them."""
+    def parse(text):
+        value = type(options[0])(text)
+        if value not in options:
+            raise ValueError(text)
+        return value
+    return parse
+
+
+_KINDS = _comma_list(_among(ALL_KINDS), f"corruption kinds ({', '.join(ALL_KINDS)})")
 
 
 def cmd_eval(args) -> int:
@@ -148,16 +166,13 @@ def cmd_eval(args) -> int:
     if args.k is not None:
         sampler = dataclasses.replace(sampler, k=args.k)
     dataset = load_split(args.data, "test")
-    kinds = _parse_kinds(args.kinds) if args.kinds else ALL_KINDS
-    severities = tuple(int(s) for s in args.severities.split(","))
-    eval_seeds = tuple(int(s) for s in args.eval_seeds.split(","))
     report, log = evaluate(
         params,
         dataset,
         sampler=sampler,
-        kinds=kinds,
-        severities=severities,
-        eval_seeds=eval_seeds,
+        kinds=args.kinds,
+        severities=args.severities,
+        eval_seeds=args.eval_seeds,
         corruption_seed=args.corruption_seed,
     )
     write_report_json(report, args.report)
@@ -178,8 +193,7 @@ def cmd_ablate(args) -> int:
     train_spec, test_spec = build_dataset_specs(cfg)
     train_set = gen_dataset(train_spec)
     test_set = gen_dataset(test_spec)
-    kinds = _parse_kinds(args.kinds) if args.kinds else ALL_KINDS
-    rows = run_grid(train_set, test_set, configs, kinds=kinds,
+    rows = run_grid(train_set, test_set, configs, kinds=args.kinds,
                     corruption_seed=args.corruption_seed, axes=axes)
     write_table_csv(rows, args.out)
     print(f"wrote {len(rows)} ablation rows to {args.out}")
@@ -229,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--kinds")
-    p.add_argument("--severities", default="1,2,3,4,5")
-    p.add_argument("--eval-seeds", default="0,1,2,3,4")
+    p.add_argument("--kinds", type=_KINDS, default=ALL_KINDS)
+    p.add_argument("--severities", type=_comma_list(_among(range(1, 6)), "severities in 1..5"),
+                   default="1,2,3,4,5")
+    p.add_argument("--eval-seeds", type=_comma_list(int, "ints"), default="0,1,2,3,4")
     p.add_argument("--corruption-seed", type=int, default=0)
     p.add_argument("--sampler", choices=SAMPLER_VARIANTS)
     p.add_argument("--k", type=int)
@@ -242,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train+evaluate over a config grid")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kinds")
+    p.add_argument("--kinds", type=_KINDS, default=ALL_KINDS)
     p.add_argument("--corruption-seed", type=int, default=0)
     p.set_defaults(func=cmd_ablate)
 

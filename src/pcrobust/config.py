@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from pathlib import Path
 
 from .data import SyntheticDatasetSpec, derive_seed
@@ -37,6 +38,13 @@ def _ints(text):
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 # key -> (owner, field, parser). The owner is "data" (SyntheticDatasetSpec),
 # "test" (the test split's spec) or "train" (TrainConfig); "loss.tau" is
 # TrainConfig.loss.tau. Keys land one at a time in table order, each
@@ -49,11 +57,11 @@ KEYS = {
     "points": ("data", "points", int),
     "data_seed": ("data", "seed", int),
     "n_layers": ("train", "n_layers", int),
-    "lambda": ("train", "loss.sem_weight", float),
-    "tau": ("train", "loss.tau", float),
+    "lambda": ("train", "loss.sem_weight", _float),
+    "tau": ("train", "loss.tau", _float),
     "sem_mode": ("train", "loss.sem_mode", str),
     "sem_layers": ("train", "loss.sem_layers", _ints),
-    "smoothing_eps": ("train", "loss.smoothing_eps", float),
+    "smoothing_eps": ("train", "loss.smoothing_eps", _float),
     "arch": ("train", "arch", str),
     "m_anchors": ("train", "sampler.m", int),
     "sampler": ("train", "sampler.variant", str),
@@ -63,10 +71,10 @@ KEYS = {
     "group_k": ("train", "group_k", int),
     "epochs": ("train", "epochs", int),
     "batch_size": ("train", "batch_size", int),
-    "lr": ("train", "lr", float),
+    "lr": ("train", "lr", _float),
     "optimizer": ("train", "optimizer", str),
     "seed": ("train", "seed", int),
-    "val_fraction": ("train", "val_fraction", float),
+    "val_fraction": ("train", "val_fraction", _float),
 }
 
 TEST_PER_CLASS = 30  # the test split's size has no dataclass of its own

@@ -134,15 +134,16 @@ def _uniform_ball(count, rng):
     return directions / norms * radii
 
 
-def corruption_suite(cloud: PointCloud, kinds=ALL_KINDS, seed: int = 0):
-    """All (kind, severity) corruptions of one cloud, deterministically seeded.
+def corruption_suite(cloud: PointCloud, kinds=ALL_KINDS, seed: int = 0,
+                     severities=(1, 2, 3, 4, 5)):
+    """(spec, corrupted copy) of one cloud per (kind, severity), deterministically seeded.
 
     Each cell uses an independent substream derived from the master seed, so
     the suite can be generated in any order or in parallel.
     """
     out = []
     for kind in kinds:
-        for severity in range(1, 6):
+        for severity in severities:
             spec = CorruptionSpec(kind, severity, derive_seed(seed, kind, severity))
             out.append((spec, apply_corruption(cloud, spec)))
     return out

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption
+from .corruption import ALL_KINDS, corruption_suite
 from .data import derive_seed
-from .model import BaselineParams, group_features, network
-from .sampling import InfeasibleSampleError, SampleSpec, anchor_profile
+from .model import BaselineParams, network, network_input
+from .sampling import InfeasibleSampleError, SampleSpec
 
 CLEAN = "clean"
 
@@ -90,20 +90,17 @@ def report_from_log(records) -> EvalReport:
 
 def predict_streams(cloud, params, sampler, streams):
     """Predictions and capped flags for one cloud, one per random stream, as
-    one batch from one density profile; see ``evaluate`` for the cap."""
+    one batch; see ``evaluate`` for the cap."""
     if isinstance(params, BaselineParams):  # no sampling: one prediction serves all
         preds = [network(cloud.points, params).prediction] * len(streams)
         return preds, [False] * len(streams)
-    profile = anchor_profile(cloud, sampler, params.group_k)
     feats, capped = [], []
     for stream in streams:
         try:
-            f, _ = group_features(cloud, params, sampler, np.random.default_rng(stream),
-                                  profile=profile)
+            f, _ = network_input(cloud, params, sampler, np.random.default_rng(stream))
         except InfeasibleSampleError as err:
             fewer = dataclasses.replace(sampler, m=err.available)
-            f, _ = group_features(cloud, params, fewer, np.random.default_rng(stream),
-                                  profile=profile)
+            f, _ = network_input(cloud, params, fewer, np.random.default_rng(stream))
         feats.append(f)
         capped.append(len(f) < sampler.m)
     logits = network(np.stack(feats), params).logits.data
@@ -123,14 +120,17 @@ def evaluate(
 
     With a stochastic sampler each cloud is predicted once per eval seed and
     the 0/1 errors are averaged; fps is deterministic, so it gets only the
-    first eval seed. Corrupted inputs derive deterministic
-    per-(cloud, kind, severity) substreams from ``corruption_seed``.
+    first eval seed. Each cloud's corrupted copies come from
+    ``corruption_suite`` with a per-cloud seed derived from
+    ``corruption_seed``.
 
     When a cloud has fewer positive-weight points (any points, for fps and
     random) than the sampler's m, that prediction is redone with m capped
     at that count, from the same random stream, and its record is marked
     ``capped``; the report counts them per cell. The eval seeds of a cloud
-    are one batch, on a no-grad view of the weights.
+    are one batch, on a no-grad view of the weights, and draw from the
+    density weights the cloud keeps. The baseline samples nothing, so one
+    prediction serves all of them.
     Returns (EvalReport, prediction log).
     """
     if sampler is not None and sampler.variant == "fps":
@@ -138,12 +138,9 @@ def evaluate(
     params = params.no_grad()
     records = []
     for i, cloud in enumerate(dataset):
-        variants = [(CLEAN, 0, cloud)]
-        for kind in kinds:
-            master = derive_seed(corruption_seed, "cloud", i)
-            for severity in severities:
-                spec = CorruptionSpec(kind, severity, derive_seed(master, kind, severity))
-                variants.append((kind, severity, apply_corruption(cloud, spec)))
+        suite = corruption_suite(cloud, kinds, derive_seed(corruption_seed, "cloud", i),
+                                 severities)
+        variants = [(CLEAN, 0, cloud)] + [(s.kind, s.severity, c) for s, c in suite]
         for kind, severity, variant in variants:
             streams = [derive_seed(seed, "pred", i, kind, severity) for seed in eval_seeds]
             preds, capped = predict_streams(variant, params, sampler, streams)

@@ -17,15 +17,14 @@ import numpy as np
 class PointCloud:
     """Immutable N x 3 coordinate set with an optional integer class label.
 
-    The cloud carries a lazily built neighbour table (see ``neighbors``),
-    which lives as long as the cloud object does.
+    The cloud carries one cache of what depends on its points alone: the
+    lazily built neighbour table (see ``neighbors``) and whatever ``memo``
+    keeps, such as density profiles. It lives as long as the cloud object.
     """
 
     points: np.ndarray
     label: int | None = None
-    _neighbors: "NeighborTable | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64)
@@ -46,21 +45,27 @@ class PointCloud:
         """New cloud with replaced coordinates, keeping the label."""
         return PointCloud(points, self.label)
 
+    def memo(self, key, build):
+        """``build()``, called on the first request for ``key`` and kept on
+        the cloud: the points are read-only, so it cannot go stale."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def neighbors(self, width: int) -> "NeighborTable":
         """First ``width`` columns of every point's self-inclusive neighbour order.
 
-        Built on first use and cached on the cloud: the points are
-        read-only, so the table cannot go stale. A wider request rebuilds
-        it; a narrower one is a slice of the cached columns.
+        Built on first use and cached on the cloud. A wider request
+        rebuilds it; a narrower one is a slice of the cached columns.
         """
         if not 1 <= width <= self.n:
             raise ValueError(f"width must satisfy 1 <= width <= N, got {width}")
-        table = self._neighbors
+        table = self._cache.get("neighbors")
         if table is None or table.k < width:
             table = _nearest_columns(self.points, width)
             table.indices.flags.writeable = False
             table.distances.flags.writeable = False
-            object.__setattr__(self, "_neighbors", table)
+            self._cache["neighbors"] = table
         if table.k == width:
             return table
         return NeighborTable(table.indices[:, :width], table.distances[:, :width])

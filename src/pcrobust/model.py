@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .cloudio import BinaryReader, FormatError
 from .geometry import PointCloud
-from .sampling import SAMPLER_VARIANTS, SampleSpec, anchor_profile, sample_anchors
+from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
 
 CHECKPOINT_MAGIC = b"RPM1"
 
@@ -203,25 +203,29 @@ def group_indices(cloud: PointCloud, anchors: np.ndarray, group_k: int) -> np.nd
     return cloud.neighbors(group_k).indices[anchors]
 
 
-def group_features(
+def network_input(
     cloud: PointCloud,
-    params: ModelParams,
+    params,
     sampler: SampleSpec | None = None,
     rng: np.random.Generator | None = None,
     anchors=None,
     fps_start: int = 0,
-    profile=None,
 ):
-    """Sample anchors and gather their groups: ((M, group_k, 6) features, anchors).
+    """The network's input for one cloud and its anchors: the cloud's (N, 3)
+    points and None for the baseline, else (M, group_k, 6) group features.
 
     Each anchor's group is its ``group_k`` nearest original points (anchor
     included), as (offset from anchor, anchor coordinates) 6-vectors. Pass
-    ``anchors`` to bypass the sampler, or an ``anchor_profile`` to reuse it.
+    ``anchors`` to bypass the sampler. The cloud's neighbour table is built
+    once, wide enough for both the groups and the sampler.
     """
+    if isinstance(params, BaselineParams):
+        return cloud.points, None
     if anchors is None:
-        if profile is None:
-            profile = anchor_profile(cloud, sampler, params.group_k)
-        anchors = sample_anchors(cloud, sampler, rng, fps_start, profile)
+        if sampler is None:
+            raise ValueError("either a sampler spec or explicit anchors required")
+        cloud.neighbors(min(max(params.group_k, sampler.neighbor_width), cloud.n))
+        anchors = sample_anchors(cloud, sampler, rng, fps_start)
     anchors = np.asarray(anchors, dtype=np.int64)
     pts = cloud.points
     groups = group_indices(cloud, anchors, params.group_k)
@@ -276,19 +280,15 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
 
 def forward(
     cloud: PointCloud,
-    params: ModelParams,
+    params,
     sampler: SampleSpec | None = None,
     rng: np.random.Generator | None = None,
     anchors=None,
     fps_start: int = 0,
 ) -> ForwardTrace:
-    feats, anchors = group_features(cloud, params, sampler, rng, anchors, fps_start)
-    return replace(network(feats, params), anchors=anchors)
-
-
-def baseline_forward(cloud: PointCloud, params: BaselineParams) -> ForwardTrace:
-    """Per-point MLP, global max pool, head. No sampling, no attention."""
-    return network(cloud.points, params)
+    """One cloud through ``network_input`` and ``network``, either arch."""
+    inputs, anchors = network_input(cloud, params, sampler, rng, anchors, fps_start)
+    return replace(network(inputs, params), anchors=anchors)
 
 
 # ---------------------------------------------------------------------------

@@ -140,24 +140,11 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
     return np.argsort(-keys, kind="stable")[:m]
 
 
-def anchor_profile(cloud: PointCloud, spec: SampleSpec, width: int):
-    """Build the cloud's neighbour table, ``width`` columns or the sampler's
-    if wider, and return the density profile a DAS spec draws from (None
-    for fps and random). One profile serves any number of draws."""
-    if spec is None:
-        raise ValueError("either a sampler spec or explicit anchors required")
-    cloud.neighbors(min(max(width, spec.neighbor_width), cloud.n))
-    if spec.variant not in _DENSITY_OF:
-        return None
-    return density_profile(cloud, spec.k, spec.density_variant)
-
-
-def das_sample(
-    cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator, profile=None
-) -> np.ndarray:
-    """Density-aware sampling: density weights (``profile``), then a weighted draw."""
-    if profile is None:
-        profile = density_profile(cloud, spec.k, spec.density_variant)
+def das_sample(cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator) -> np.ndarray:
+    """Density-aware sampling: the cloud's density weights, built once per
+    (k, density variant) and kept on the cloud, then a weighted draw."""
+    key = ("density", spec.k, spec.density_variant)
+    profile = cloud.memo(key, lambda: density_profile(cloud, spec.k, spec.density_variant))
     return weighted_sample_without_replacement(profile.weights, spec.m, rng)
 
 
@@ -205,13 +192,12 @@ def sample_anchors(
     spec: SampleSpec,
     rng: np.random.Generator | None = None,
     fps_start: int = 0,
-    profile=None,
 ) -> np.ndarray:
-    """Dispatch to the strategy named by spec.variant; DAS may reuse ``profile``."""
+    """Dispatch to the strategy named by spec.variant."""
     if spec.variant == "fps":
         return fps_sample(cloud, spec.m, fps_start)
     if rng is None:
         raise ValueError(f"sampler {spec.variant!r} draws at random: pass a generator")
     if spec.variant == "random":
         return random_sample(cloud, spec.m, rng)
-    return das_sample(cloud, spec, rng, profile)
+    return das_sample(cloud, spec, rng)

@@ -1,9 +1,11 @@
 """Minibatch training of the classifiers with the joint objective.
 
 The loop is a single sequential pass (deterministic per seed): shuffled
-minibatches, anchors drawn and grouped per cloud in batch order, then one
-graph per minibatch over the stacked groups, mean batch loss =
-classification + weighted self-entropy term, one optimizer step per batch.
+minibatches, each cloud's network input (``network_input``: anchors drawn
+and grouped, or the baseline's points) in batch order, then one graph per
+minibatch over the stacked inputs, mean batch loss = classification +
+weighted self-entropy term, one optimizer step per batch. A cloud keeps
+its neighbour table and density weights, so every epoch reuses them.
 A fixed fraction of the training clouds is held out per seed and predicted
 on a no-grad view of the weights, which builds no graph; the
 best-by-validation parameters are returned.
@@ -25,14 +27,8 @@ from .losses import (
     smoothed_cross_entropy,
     total_loss,
 )
-from .model import (
-    BaselineParams,
-    ModelParams,
-    group_features,
-    init_baseline,
-    init_model,
-    network,
-)
+from .model import (BaselineParams, ModelParams, init_baseline, init_model, network,
+                    network_input)
 from .sampling import SampleSpec
 
 
@@ -117,11 +113,9 @@ class SGD:
 
 
 def _stack_inputs(clouds, params, sampler, rngs) -> np.ndarray:
-    """Network input for a list of clouds, anchors drawn per cloud in order:
-    (B, M, g, 6) group features, or (B, N, 3) points for the baseline."""
-    if isinstance(params, BaselineParams):
-        return np.stack([c.points for c in clouds])
-    return np.stack([group_features(c, params, sampler, rng)[0]
+    """``network_input`` of a list of clouds as one batch, anchors drawn per
+    cloud in order."""
+    return np.stack([network_input(c, params, sampler, rng)[0]
                      for c, rng in zip(clouds, rngs)])
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pcrobust import geometry
+from pcrobust import geometry, sampling
 from pcrobust.geometry import PointCloud, normalize_unit_sphere
 
 
@@ -41,4 +41,18 @@ def table_builds(monkeypatch):
         return real(points, width)
 
     monkeypatch.setattr(geometry, "_nearest_columns", counting)
+    return built
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """The cloud of every density_profile call, in call order."""
+    built = []
+    real = sampling.density_profile
+
+    def counting(cloud, *args, **kwargs):
+        built.append(cloud)
+        return real(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "density_profile", counting)
     return built

@@ -111,15 +111,12 @@ def per_cloud_loss(clouds, params, config, rng):
         smoothed_cross_entropy,
         total_loss,
     )
-    from pcrobust.model import baseline_forward, forward
+    from pcrobust.model import forward
 
     loss_cfg = config.loss
     total = None
     for cloud in clouds:
-        if config.arch == "attention":
-            trace = forward(cloud, params, config.sampler, rng)
-        else:
-            trace = baseline_forward(cloud, params)
+        trace = forward(cloud, params, config.sampler, rng)
         loss = smoothed_cross_entropy(trace.logits, cloud.label, loss_cfg.smoothing_eps)
         if loss_cfg.sem_weight != 0.0:
             if loss_cfg.sem_mode == "attention":
@@ -144,7 +141,7 @@ def per_cloud_evaluate(params, dataset, sampler, kinds, severities, eval_seeds,
     from pcrobust.corruption import CorruptionSpec, apply_corruption
     from pcrobust.data import derive_seed
     from pcrobust.evaluate import PredictionRecord
-    from pcrobust.model import BaselineParams, baseline_forward, forward
+    from pcrobust.model import forward
     from pcrobust.sampling import InfeasibleSampleError
 
     if sampler is not None and sampler.variant == "fps":
@@ -161,19 +158,12 @@ def per_cloud_evaluate(params, dataset, sampler, kinds, severities, eval_seeds,
             for seed in eval_seeds:
                 stream = derive_seed(seed, "pred", i, kind, severity)
                 capped = False
-                if isinstance(params, BaselineParams):
-                    pred = baseline_forward(variant, params).prediction
-                else:
-                    try:
-                        trace = forward(variant, params, sampler,
-                                        np.random.default_rng(stream))
-                    except InfeasibleSampleError as err:
-                        capped = True
-                        fewer = dataclasses.replace(sampler, m=err.available)
-                        trace = forward(variant, params, fewer,
-                                        np.random.default_rng(stream))
-                    pred = trace.prediction
-                records.append(
-                    PredictionRecord(i, kind, severity, seed, cloud.label, pred, capped)
-                )
+                try:
+                    trace = forward(variant, params, sampler, np.random.default_rng(stream))
+                except InfeasibleSampleError as err:
+                    capped = True
+                    fewer = dataclasses.replace(sampler, m=err.available)
+                    trace = forward(variant, params, fewer, np.random.default_rng(stream))
+                records.append(PredictionRecord(i, kind, severity, seed, cloud.label,
+                                                trace.prediction, capped))
     return records

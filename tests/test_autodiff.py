@@ -54,8 +54,8 @@ class TestForwardExamples:
         assert np.array_equal(grads[x], [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]]])
 
     def test_max_axis_pools_groups(self):
-        x = Tensor(np.array([[1.0, 5.0], [2.0, 4.0], [9.0, 0.0], [8.0, 1.0]]))
-        y = ad.max_axis(ad.reshape(x, (2, 2, 2)), axis=1)
+        x = Tensor(np.array([[[1.0, 5.0], [2.0, 4.0]], [[9.0, 0.0], [8.0, 1.0]]]))
+        y = ad.max_axis(x, axis=1)
         assert np.array_equal(y.data, [[2.0, 5.0], [9.0, 1.0]])
 
     def test_tsum_axes(self):
@@ -130,12 +130,6 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
 
-    def test_log_of_nonpositive(self):
-        with pytest.raises(NonFiniteError):
-            ad.log(Tensor([[0.0]]))
-        with pytest.raises(NonFiniteError):
-            ad.log(Tensor([[-1.0]]))
-
     def test_exp_overflow(self):
         with pytest.raises(NonFiniteError):
             ad.exp(Tensor([[1000.0]]))
@@ -180,13 +174,6 @@ class TestBatchAxes:
     def test_matmul_rank_mismatch(self):
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 3))))
-
-    def test_reshape_is_a_view_and_passes_gradients(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        y = ad.reshape(x, (3, 2))
-        assert np.shares_memory(y.data, x.data)
-        grads = backward(ad.tsum(ad.mul(y, Tensor(np.arange(6.0).reshape(3, 2)))))
-        assert np.array_equal(grads[x], np.arange(6.0).reshape(2, 3))
 
 
 class TestShapeChecks:
@@ -233,11 +220,9 @@ def op_cases(seed):
         ("matmul[left]", lambda t: ad.mean(ad.matmul(t, c43)), x34),
         ("matmul[right]", lambda t: ad.mean(ad.matmul(c34, t)), rng.standard_normal((4, 3))),
         ("transpose", lambda t: ad.mean(ad.mul(ad.transpose(t), c43)), x34),
-        ("reshape", lambda t: ad.mean(ad.mul(ad.reshape(t, (2, 6)), c26)), x34),
         ("concat[0]", lambda t: ad.mean(ad.mul(ad.concat([t, c34], axis=0), c64)), x34),
         ("concat[1]", lambda t: ad.mean(ad.mul(ad.concat([c34, t], axis=1), c38)), x34),
         ("relu", lambda t: ad.mean(ad.relu(t)), _away_from_zero(x34)),
-        ("log", lambda t: ad.mean(ad.log(t)), 0.5 + rng.random((3, 4))),
         ("exp", lambda t: ad.mean(ad.exp(t)), x34),
         ("mean", lambda t: ad.mean(t), x34),
         ("tsum", lambda t: ad.mul_scalar(ad.tsum(t), 0.25), x34),

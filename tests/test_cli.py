@@ -243,6 +243,30 @@ class TestEndToEnd:
             ("attention", "4"), ("attention", "8"), ("baseline", "4"), ("baseline", "8")]
 
 
+class TestListFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval", "--eval-seeds", "0,a"),
+            ("eval", "--severities", "1,6"),
+            ("eval", "--severities", ","),
+            ("eval", "--kinds", "scale,fog"),
+            ("ablate", "--kinds", "fog"),
+        ],
+        ids=["seed", "severity", "empty", "kind", "ablate-kind"],
+    )
+    def test_bad_list_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        # the files do not exist: the flag is rejected before anything is read
+        missing = str(tmp_path / "missing")
+        files = (["--ckpt", missing, "--data", missing, "--report", missing]
+                 if command == "eval" else ["--grid", missing, "--out", missing])
+        with pytest.raises(SystemExit) as err:
+            main([command, *files, flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: {value!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestEvalSamplerOverride:
     @pytest.fixture
     def eval_inputs(self, tmp_path, monkeypatch):
@@ -353,9 +377,12 @@ class TestConfigParsing:
             ("seed = 1\nlamda = 0.5\n", 2, "lamda"),
             ("points = 0\n", 1, "points"),
             ("arch = baseline\nlambda = 0.2\n", 1, "arch"),
+            ("seed = 1\nlambda = nan\n", 2, "lambda"),
+            ("lr = inf\n", 1, "lr"),
+            ("tau = -inf\n", 1, "tau"),
         ],
         ids=["int", "float", "list", "repeated", "grid-value", "unknown", "points-0",
-             "baseline-attention-sem"],
+             "baseline-attention-sem", "nan", "inf", "minus-inf"],
     )
     def test_malformed_config_names_file_line_and_key(self, tmp_path, text, line, key):
         path = tmp_path / "run.cfg"
@@ -383,6 +410,12 @@ class TestConfigParsing:
         assert build_train_config({"arch": "baseline", "lambda": "0"}).arch == "baseline"
         tc = build_train_config({"arch": "baseline", "sem_mode": "channel"})
         assert tc.loss.sem_mode == "channel"
+
+    def test_public_names_resolve_once(self):
+        import pcrobust
+
+        assert len(set(pcrobust.__all__)) == len(pcrobust.__all__)
+        assert [n for n in pcrobust.__all__ if not hasattr(pcrobust, n)] == []
 
     def test_readme_key_table_lists_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

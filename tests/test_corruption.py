@@ -162,6 +162,15 @@ class TestSuite:
         suite = corruption_suite(random_cloud(5, n=64), ("scale", "impulse"), seed=3)
         assert all(spec.seed == derive_seed(3, spec.kind, spec.severity) for spec, _ in suite)
 
+    def test_severity_subset_is_a_slice_of_the_full_suite(self):
+        cloud = random_cloud(6, n=64)
+        full = dict_of_suite(corruption_suite(cloud, ("impulse", "add-local"), seed=4))
+        part = dict_of_suite(corruption_suite(cloud, ("impulse", "add-local"), seed=4,
+                                              severities=(5, 2)))
+        assert list(part) == [("impulse", 5), ("impulse", 2), ("add-local", 5),
+                              ("add-local", 2)]
+        assert all(np.array_equal(part[key], full[key]) for key in part)
+
 
 def dict_of_suite(suite):
     return {(spec.kind, spec.severity): cloud.points for spec, cloud in suite}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcrobust.corruption import CorruptionSpec, apply_corruption
 from pcrobust.geometry import (
     NeighborTable,
     PointCloud,
@@ -33,6 +34,21 @@ class TestPointCloud:
         cloud = PointCloud([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 5.0
+
+    def test_memo_builds_once_per_key_and_copies_start_empty(self):
+        cloud = random_cloud(11, n=40)
+        built = []
+
+        def build(tag):
+            return lambda: built.append(tag) or tag
+
+        assert [cloud.memo(key, build(key)) for key in ("a", "b", "a", "b")] == list("abab")
+        assert built == ["a", "b"]
+        corrupted = apply_corruption(cloud, CorruptionSpec("jitter-gaussian", 1, 0))
+        for copy in (corrupted, cloud.with_points(cloud.points), normalize_unit_sphere(cloud)):
+            assert copy.memo("a", build("copy")) == "copy"
+        assert built == ["a", "b", "copy", "copy", "copy"]
+        assert cloud.memo("a", build("again")) == "a"
 
 
 class TestNormalize:

@@ -10,13 +10,13 @@ from pcrobust.geometry import PointCloud, normalize_unit_sphere
 from pcrobust.model import (
     AttentionLayerParams,
     CheckpointFormatError,
-    baseline_forward,
     forward,
-    group_features,
     init_baseline,
     init_model,
     load_checkpoint,
     neighbor_embed,
+    network,
+    network_input,
     save_checkpoint,
     self_attention_layer,
 )
@@ -35,7 +35,7 @@ def mini_params(seed=0, **overrides):
 class TestNeighborEmbed:
     def test_first_embed_layer_yields_no_input_gradient(self):
         params = mini_params()
-        feats, _ = group_features(random_cloud(3, n=20), params, anchors=np.arange(8))
+        feats, _ = network_input(random_cloud(3, n=20), params, anchors=np.arange(8))
         # max_axis <- linear(w2) <- relu <- linear(feats, w1, b1)
         first = neighbor_embed(feats, params)._prev[0]._prev[0]._prev[0]
         assert first._prev[1:] == (params.embed_w1, params.embed_b1)
@@ -47,7 +47,7 @@ class TestNeighborEmbed:
     def test_identity_sampling_group_of_self(self):
         cloud = random_cloud(0, n=12)
         params = mini_params(group_k=1)
-        feats, anchors = group_features(cloud, params, anchors=np.arange(12))
+        feats, anchors = network_input(cloud, params, anchors=np.arange(12))
         f_s = neighbor_embed(feats, params)
         assert anchors.tolist() == list(range(12))
         # group of self only: the embedding sees (0, 0, 0, p_i)
@@ -64,8 +64,8 @@ class TestNeighborEmbed:
         permuted = PointCloud(cloud.points[perm])
         spec = SampleSpec(m=6, variant="fps")
         start_new = int(np.argwhere(perm == 0)[0, 0])
-        feats_a, anchors_a = group_features(cloud, params, spec, fps_start=0)
-        feats_b, anchors_b = group_features(permuted, params, spec, fps_start=start_new)
+        feats_a, anchors_a = network_input(cloud, params, spec, fps_start=0)
+        feats_b, anchors_b = network_input(permuted, params, spec, fps_start=start_new)
         f_a, f_b = neighbor_embed(feats_a, params), neighbor_embed(feats_b, params)
         # the i-th anchor names the same physical point in both runs
         assert np.array_equal(perm[anchors_b], anchors_a)
@@ -76,13 +76,13 @@ class TestNeighborEmbed:
         cloud = random_cloud(3, n=16)
         params = mini_params()
         reversed_cloud = PointCloud(cloud.points[::-1])
-        f_a = neighbor_embed(group_features(cloud, params, anchors=[4])[0], params)
-        f_b = neighbor_embed(group_features(reversed_cloud, params, anchors=[11])[0], params)
+        f_a = neighbor_embed(network_input(cloud, params, anchors=[4])[0], params)
+        f_b = neighbor_embed(network_input(reversed_cloud, params, anchors=[11])[0], params)
         assert np.abs(f_a.data - f_b.data).max() <= 1e-12
 
     def test_requires_sampler_or_anchors(self):
         with pytest.raises(ValueError):
-            group_features(random_cloud(4, n=8), mini_params())
+            network_input(random_cloud(4, n=8), mini_params())
 
 
 class TestSelfAttentionLayer:
@@ -225,7 +225,7 @@ class TestNeighborTableReuse:
         params = mini_params()  # group_k 4
         spec = SampleSpec(m=8, k=8, variant=variant)
         forward(cloud, params, spec, np.random.default_rng(0))
-        assert cloud._neighbors.k == width
+        assert cloud._cache["neighbors"].k == width
 
 
 class TestBaseline:
@@ -233,14 +233,23 @@ class TestBaseline:
         params = init_baseline(np.random.default_rng(0), n_classes=4, hidden=8, d_feat=8)
         cloud = random_cloud(9, n=30)
         permuted = PointCloud(cloud.points[np.random.default_rng(1).permutation(30)])
-        a = baseline_forward(cloud, params)
-        b = baseline_forward(permuted, params)
+        a = forward(cloud, params)
+        b = forward(permuted, params)
         assert np.array_equal(a.logits.data, b.logits.data)
+
+    def test_forward_is_the_network_on_the_points(self):
+        params = init_baseline(np.random.default_rng(4), n_classes=3, hidden=6, d_feat=6)
+        cloud = random_cloud(11, n=20)
+        trace = forward(cloud, params)
+        assert trace.anchors is None
+        assert np.array_equal(trace.logits.data, network(cloud.points, params).logits.data)
+        points, anchors = network_input(cloud, params)
+        assert points is cloud.points and anchors is None
 
     def test_single_point_pool_is_identity(self):
         params = init_baseline(np.random.default_rng(2), n_classes=2, hidden=4, d_feat=4)
         cloud = PointCloud([[0.1, 0.2, 0.3]])
-        trace = baseline_forward(cloud, params)
+        trace = forward(cloud, params)
         assert np.array_equal(
             trace.point_features.data[0],
             np.max(trace.point_features.data, axis=0),
@@ -255,7 +264,7 @@ class TestBaseline:
             saved = params.point_w1
             params.point_w1 = t
             try:
-                trace = baseline_forward(cloud, params)
+                trace = forward(cloud, params)
                 return ad.mean(trace.logits)
             finally:
                 params.point_w1 = saved

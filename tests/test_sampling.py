@@ -8,7 +8,6 @@ from pcrobust.geometry import PointCloud, random_rotation
 from pcrobust.sampling import (
     InfeasibleSampleError,
     SampleSpec,
-    anchor_profile,
     das_sample,
     density_profile,
     fps_sample,
@@ -308,19 +307,32 @@ class TestTooFewPoints:
 
 
 class TestAnchorProfile:
-    def test_one_profile_serves_many_draws(self):
+    """The density profile DAS draws from is built once and kept on the cloud."""
+
+    def test_one_profile_serves_many_draws(self, profile_builds):
         cloud = random_cloud(13, n=40)
         spec = SampleSpec(m=10, k=4, variant="das-l1")
-        profile = anchor_profile(cloud, spec, 1)
         for seed in range(3):
-            a = das_sample(cloud, spec, np.random.default_rng(seed))
-            b = sample_anchors(cloud, spec, np.random.default_rng(seed), profile=profile)
+            a = das_sample(random_cloud(13, n=40), spec, np.random.default_rng(seed))
+            b = sample_anchors(cloud, spec, np.random.default_rng(seed))
             assert np.array_equal(a, b)
+        assert [c for c in profile_builds if c is cloud] == [cloud]
 
-    def test_none_for_fps_and_random(self):
+    def test_none_for_fps_and_random(self, profile_builds):
         cloud = random_cloud(14, n=10)
         for variant in ("fps", "random"):
-            assert anchor_profile(cloud, SampleSpec(m=3, variant=variant), 1) is None
+            sample_anchors(cloud, SampleSpec(m=3, variant=variant), np.random.default_rng(0))
+        assert profile_builds == []
+
+    def test_one_profile_per_k_and_density(self, profile_builds):
+        cloud = random_cloud(15, n=40)
+        specs = [SampleSpec(m=5, k=k, variant=v) for k in (3, 4)
+                 for v in ("das-l0", "das-l1", "das-ballquery-l0")]
+        for spec in specs + specs:
+            a = sample_anchors(cloud, spec, np.random.default_rng(0))
+            b = das_sample(random_cloud(15, n=40), spec, np.random.default_rng(0))
+            assert np.array_equal(a, b)
+        assert len([c for c in profile_builds if c is cloud]) == len(specs)
 
 
 class TestSampleSpec:

@@ -25,8 +25,8 @@ from pcrobust.losses import LossConfig, attention_sem_loss
 from pcrobust.model import (
     BaselineParams,
     forward,
-    group_features,
     init_model,
+    network_input,
     save_checkpoint,
 )
 from pcrobust.sampling import (
@@ -286,12 +286,12 @@ class TestCappedAnchors:
         kinds = ("drop-global", "drop-local", "scale")
         calls = []  # (anchor count, generator state on entry) per anchor draw
 
-        def spy(cloud, params, spec, rng, profile=None):
+        def spy(cloud, params, spec, rng):
             calls.append((spec.m, rng.bit_generator.state))
-            return group_features(cloud, params, spec, rng, profile=profile)
+            return network_input(cloud, params, spec, rng)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(importlib.import_module("pcrobust.evaluate"), "group_features", spy)
+            mp.setattr(importlib.import_module("pcrobust.evaluate"), "network_input", spy)
             report, log = evaluate(params, test_set, sampler=sampler, kinds=kinds,
                                    severities=(5,), eval_seeds=(0, 1))
         positive = {
@@ -521,22 +521,23 @@ class TestBatchedPaths:
         assert not any(r.capped for r in log if r.kind == "clean")
         assert report.capped[("drop-global", 5)] == len(dropped)
 
-    def test_one_density_profile_per_variant_cloud(self, monkeypatch):
-        sampling = importlib.import_module("pcrobust.sampling")
-        real, calls = sampling.density_profile, []
+    @pytest.mark.parametrize("epochs", [2, 10])
+    def test_train_builds_one_density_profile_per_cloud(self, profile_builds, epochs):
+        data = tiny_dataset(seed=7, per_class=6, points=32)
+        config = tiny_config(sampler=SampleSpec(m=8, k=3), d_model=8, n_layers=1,
+                             epochs=epochs, batch_size=4)
+        train(data, config)
+        assert len(profile_builds) == len(data)
+        assert {id(c) for c in profile_builds} == {id(c) for c in data}
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sampling, "density_profile", counting)
+    def test_one_density_profile_per_variant_cloud(self, profile_builds):
         params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
                             d_model=8, d_attn=4, group_k=4, n_layers=1)
         evaluate(params, tiny_dataset(per_class=1, points=64)[:1],
                  sampler=SampleSpec(m=8, k=3), kinds=("jitter-gaussian",),
                  severities=(1, 2, 3, 4, 5), eval_seeds=(0, 1, 2, 3, 4))
-        assert len(calls) == 6
-        assert len({id(cloud) for cloud in calls}) == 6
+        assert len(profile_builds) == 6
+        assert len({id(cloud) for cloud in profile_builds}) == 6
 
     def test_graph_size_per_step_does_not_grow_with_batch(self, monkeypatch):
         autodiff = importlib.import_module("pcrobust.autodiff")
