@@ -6,7 +6,7 @@ import csv
 
 from .config import build_train_config
 from .corruption import ALL_KINDS
-from .evaluate import evaluate
+from .evaluate import EVAL_SEEDS, evaluate
 from .train import train
 
 GRID_COLUMNS = ("sampler", "sampler_k", "lambda", "tau", "sem_layers", "seed")
@@ -17,7 +17,7 @@ def run_grid(
     test_set,
     configs,
     kinds=ALL_KINDS,
-    eval_seeds=(0, 1, 2, 3, 4),
+    eval_seeds=EVAL_SEEDS,
     corruption_seed: int = 0,
     axes=(),
 ):

@@ -24,9 +24,10 @@ from .config import (
     expand_grid,
     parse_flat_file,
 )
-from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption, corruption_suite
+from .corruption import ALL_KINDS, SEVERITIES, CorruptionSpec, apply_corruption, corruption_suite
 from .data import gen_dataset
 from .evaluate import (
+    EVAL_SEEDS,
     evaluate,
     write_log_csv,
     write_report_json,
@@ -156,7 +157,16 @@ def _among(options):
     return parse
 
 
+def _positive_int(text):
+    """An argparse ``type``: an int >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 _KINDS = _comma_list(_among(ALL_KINDS), f"corruption kinds ({', '.join(ALL_KINDS)})")
+_SEVERITIES = _comma_list(_among(SEVERITIES),
+                          f"severities ({', '.join(map(str, SEVERITIES))})")
 
 
 def cmd_eval(args) -> int:
@@ -209,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="select anchor points from a cloud")
     p.add_argument("--input", required=True)
     p.add_argument("--sampler", choices=SAMPLER_VARIANTS, default="das-l0")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--k", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the generator das-* and random draw from")
     p.add_argument("--output", required=True)
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corrupt", help="apply one corruption or the full suite")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=list(ALL_KINDS))
-    p.add_argument("--severity", type=int, default=3)
+    p.add_argument("--severity", type=int, choices=SEVERITIES, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.add_argument("--suite", action="store_true")
@@ -244,12 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--kinds", type=_KINDS, default=ALL_KINDS)
-    p.add_argument("--severities", type=_comma_list(_among(range(1, 6)), "severities in 1..5"),
-                   default="1,2,3,4,5")
-    p.add_argument("--eval-seeds", type=_comma_list(int, "ints"), default="0,1,2,3,4")
+    p.add_argument("--severities", type=_SEVERITIES, default=SEVERITIES)
+    p.add_argument("--eval-seeds", type=_comma_list(int, "ints"), default=EVAL_SEEDS)
     p.add_argument("--corruption-seed", type=int, default=0)
     p.add_argument("--sampler", choices=SAMPLER_VARIANTS)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive_int)
     p.add_argument("--curves")
     p.add_argument("--log")
     p.set_defaults(func=cmd_eval)

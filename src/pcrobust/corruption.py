@@ -29,6 +29,7 @@ SCHEDULE = {
     "add-local": {"add_frac": 0.05, "sigma": 0.05},
 }
 ALL_KINDS = tuple(SCHEDULE)
+SEVERITIES = (1, 2, 3, 4, 5)  # levels as in ModelNet40-C (Sun et al., 2022)
 
 _DROP_ADD_KINDS = ("drop-global", "drop-local", "add-global", "add-local")
 
@@ -42,8 +43,8 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if not 1 <= self.severity <= 5:
-            raise ValueError(f"severity must be in [1, 5], got {self.severity}")
+        if self.severity not in SEVERITIES:
+            raise ValueError(f"severity must be one of {SEVERITIES}, got {self.severity}")
 
 
 def apply_corruption(cloud: PointCloud, spec: CorruptionSpec) -> PointCloud:
@@ -135,7 +136,7 @@ def _uniform_ball(count, rng):
 
 
 def corruption_suite(cloud: PointCloud, kinds=ALL_KINDS, seed: int = 0,
-                     severities=(1, 2, 3, 4, 5)):
+                     severities=SEVERITIES):
     """(spec, corrupted copy) of one cloud per (kind, severity), deterministically seeded.
 
     Each cell uses an independent substream derived from the master seed, so

@@ -23,6 +23,13 @@ def derive_seed(master: int, *parts) -> int:
     return (int(master) ^ int.from_bytes(digest[:8], "little")) & (2**64 - 1)
 
 
+def check_labeled(clouds) -> None:
+    """Raise ValueError naming the first cloud without a label."""
+    for i, cloud in enumerate(clouds):
+        if cloud.label is None:
+            raise ValueError(f"cloud {i} has no label; every cloud needs one")
+
+
 def sphere_surface(rng, n):
     d = rng.standard_normal((n, 3))
     d /= np.sqrt((d**2).sum(axis=1, keepdims=True))
@@ -107,6 +114,11 @@ SHAPE_GENERATORS = {
     "cone": cone_surface,
 }
 
+# fixed per-instance variation, drawn in this order: noise, scale, tilt
+NOISE_SIGMA = 0.01  # isotropic Gaussian jitter per coordinate
+SCALE_JITTER = 0.15  # per-axis scale factor in [1 - j, 1 + j]
+MAX_TILT = math.pi / 8  # rotation about a random axis, angle in [0, max]
+
 
 @dataclass(frozen=True)
 class SyntheticDatasetSpec:
@@ -116,9 +128,6 @@ class SyntheticDatasetSpec:
     per_class: int = 100
     points: int = 256
     seed: int = 0
-    max_tilt: float = math.pi / 8
-    scale_jitter: float = 0.15
-    noise_sigma: float = 0.01
 
     def __post_init__(self):
         if len(self.classes) < 2:
@@ -140,15 +149,9 @@ def gen_dataset(spec: SyntheticDatasetSpec):
         surface = SHAPE_GENERATORS[name]
         for _ in range(spec.per_class):
             pts = surface(rng, spec.points)
-            if spec.noise_sigma > 0:
-                pts = pts + rng.standard_normal(pts.shape) * spec.noise_sigma
-            if spec.scale_jitter > 0:
-                pts = pts * rng.uniform(
-                    1 - spec.scale_jitter, 1 + spec.scale_jitter, 3
-                )
-            if spec.max_tilt > 0:
-                axis = rng.standard_normal(3)
-                angle = rng.uniform(0, spec.max_tilt)
-                pts = pts @ axis_angle_rotation(axis, angle).T
+            pts = pts + rng.standard_normal(pts.shape) * NOISE_SIGMA
+            pts = pts * rng.uniform(1 - SCALE_JITTER, 1 + SCALE_JITTER, 3)
+            axis = rng.standard_normal(3)
+            pts = pts @ axis_angle_rotation(axis, rng.uniform(0, MAX_TILT)).T
             clouds.append(normalize_unit_sphere(PointCloud(pts, label)))
     return clouds

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import ALL_KINDS, corruption_suite
-from .data import derive_seed
+from .corruption import ALL_KINDS, SEVERITIES, corruption_suite
+from .data import check_labeled, derive_seed
 from .model import BaselineParams, network, network_input
 from .sampling import InfeasibleSampleError, SampleSpec
 
 CLEAN = "clean"
+EVAL_SEEDS = (0, 1, 2, 3, 4)  # DAS anchors are random: error rates average over these
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ def evaluate(
     dataset,
     sampler: SampleSpec | None = None,
     kinds=ALL_KINDS,
-    severities=(1, 2, 3, 4, 5),
-    eval_seeds=(0,),
+    severities=SEVERITIES,
+    eval_seeds=EVAL_SEEDS,
     corruption_seed: int = 0,
 ):
     """Error rates of a trained model on clean and corrupted copies of a set.
@@ -131,8 +132,10 @@ def evaluate(
     are one batch, on a no-grad view of the weights, and draw from the
     density weights the cloud keeps. The baseline samples nothing, so one
     prediction serves all of them.
+    Every cloud needs a label: ValueError names the first without one.
     Returns (EvalReport, prediction log).
     """
+    check_labeled(dataset)
     if sampler is not None and sampler.variant == "fps":
         eval_seeds = tuple(eval_seeds)[:1]
     params = params.no_grad()

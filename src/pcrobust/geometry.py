@@ -171,20 +171,6 @@ def knn(cloud: PointCloud, k: int) -> NeighborTable:
     )
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation matrix (Shoemake quaternion method)."""
-    u1, u2, u3 = rng.random(3)
-    q = np.array(
-        [
-            np.sqrt(1 - u1) * np.sin(2 * np.pi * u2),
-            np.sqrt(1 - u1) * np.cos(2 * np.pi * u2),
-            np.sqrt(u1) * np.sin(2 * np.pi * u3),
-            np.sqrt(u1) * np.cos(2 * np.pi * u3),
-        ]
-    )
-    return quaternion_to_matrix(q)
-
-
 def axis_angle_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation matrix for a given axis (any nonzero 3-vector) and angle."""
     axis = np.asarray(axis, dtype=np.float64)

@@ -209,7 +209,6 @@ def network_input(
     sampler: SampleSpec | None = None,
     rng: np.random.Generator | None = None,
     anchors=None,
-    fps_start: int = 0,
 ):
     """The network's input for one cloud and its anchors: the cloud's (N, 3)
     points and None for the baseline, else (M, group_k, 6) group features.
@@ -225,7 +224,7 @@ def network_input(
         if sampler is None:
             raise ValueError("either a sampler spec or explicit anchors required")
         cloud.neighbors(min(max(params.group_k, sampler.neighbor_width), cloud.n))
-        anchors = sample_anchors(cloud, sampler, rng, fps_start)
+        anchors = sample_anchors(cloud, sampler, rng)
     anchors = np.asarray(anchors, dtype=np.int64)
     pts = cloud.points
     groups = group_indices(cloud, anchors, params.group_k)
@@ -284,10 +283,9 @@ def forward(
     sampler: SampleSpec | None = None,
     rng: np.random.Generator | None = None,
     anchors=None,
-    fps_start: int = 0,
 ) -> ForwardTrace:
     """One cloud through ``network_input`` and ``network``, either arch."""
-    inputs, anchors = network_input(cloud, params, sampler, rng, anchors, fps_start)
+    inputs, anchors = network_input(cloud, params, sampler, rng, anchors)
     return replace(network(inputs, params), anchors=anchors)
 
 
@@ -299,8 +297,8 @@ _ARCH_ATTENTION = 0
 _ARCH_BASELINE = 1
 
 
-def save_checkpoint(path, params, sampler: SampleSpec | None = None) -> None:
-    """Serialize parameters (and the training-time sampler) to one file."""
+def save_checkpoint(path, params, sampler: SampleSpec) -> None:
+    """Serialize parameters and the training-time sampler to one file."""
     if isinstance(params, ModelParams):
         arch = _ARCH_ATTENTION
         header = [
@@ -322,8 +320,6 @@ def save_checkpoint(path, params, sampler: SampleSpec | None = None) -> None:
         ]
     else:
         raise TypeError(f"cannot checkpoint {type(params).__name__}")
-    if sampler is None:
-        sampler = SampleSpec(m=getattr(params, "m_anchors", 1))
     blob = [CHECKPOINT_MAGIC, struct.pack("<I", arch)]
     blob.append(struct.pack(f"<{len(header)}I", *header))
     blob.append(

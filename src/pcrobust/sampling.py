@@ -188,14 +188,11 @@ def random_sample(
 
 
 def sample_anchors(
-    cloud: PointCloud,
-    spec: SampleSpec,
-    rng: np.random.Generator | None = None,
-    fps_start: int = 0,
+    cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Dispatch to the strategy named by spec.variant."""
+    """Dispatch to the strategy named by spec.variant; fps starts at point 0."""
     if spec.variant == "fps":
-        return fps_sample(cloud, spec.m, fps_start)
+        return fps_sample(cloud, spec.m)
     if rng is None:
         raise ValueError(f"sampler {spec.variant!r} draws at random: pass a generator")
     if spec.variant == "random":

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError
-from .data import derive_seed
+from .data import check_labeled, derive_seed
 from .losses import (
     LossConfig,
     attention_sem_loss,
@@ -78,31 +78,32 @@ class TrainResult:
     best_val_error: float = float("inf")
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba (2015) defaults
+
+
 class Adam:
-    def __init__(self, tensors, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, tensors, lr):
         self.tensors = list(tensors)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
         self.t = 0
 
     def step(self):
         self.t += 1
-        correction1 = 1 - self.beta1**self.t
-        correction2 = 1 - self.beta2**self.t
+        correction1 = 1 - ADAM_BETA1**self.t
+        correction2 = 1 - ADAM_BETA2**self.t
         for p, m, v in zip(self.tensors, self.m, self.v):
             g = p.grad if p.grad is not None else 0.0
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * np.square(g)
-            p.data -= self.lr * (m / correction1) / (
-                np.sqrt(v / correction2) + self.eps
-            )
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * np.square(g)
+            p.data -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
 class SGD:
-    def __init__(self, tensors, lr=1e-3):
+    def __init__(self, tensors, lr):
         self.tensors = list(tensors)
         self.lr = lr
 
@@ -152,6 +153,7 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     parameters bit for bit. Raises TrainingDiverged when the loss goes
     non-finite.
     """
+    check_labeled(dataset)
     labels = sorted({c.label for c in dataset})
     if labels != list(range(len(labels))) or len(labels) < 2:
         raise ValueError("dataset labels must be 0..C-1 with C >= 2")

@@ -7,13 +7,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pcrobust import geometry, sampling
-from pcrobust.geometry import PointCloud, normalize_unit_sphere
+from pcrobust.geometry import PointCloud, axis_angle_rotation, normalize_unit_sphere
 
 
 def random_cloud(seed, n=64, normalized=True, label=None):
     pts = np.random.default_rng(seed).standard_normal((n, 3))
     cloud = PointCloud(pts, label)
     return normalize_unit_sphere(cloud) if normalized else cloud
+
+
+def random_axis_rotation(rng):
+    """A rotation by a uniform angle about an isotropically drawn axis."""
+    return axis_angle_rotation(rng.standard_normal(3), rng.uniform(0.0, 2 * np.pi))
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from pcrobust.autodiff import Tensor, finite_diff_check
 from pcrobust.corruption import ALL_KINDS
 from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
 from pcrobust.evaluate import PredictionRecord, evaluate, report_from_log
-from pcrobust.geometry import PointCloud, normalize_unit_sphere, random_rotation
+from pcrobust.geometry import PointCloud, normalize_unit_sphere
 from pcrobust.losses import (
     LossConfig,
     attention_sem_loss,
@@ -32,11 +32,12 @@ from pcrobust.sampling import (
     SampleSpec,
     das_sample,
     density_profile,
+    fps_sample,
     weighted_sample_without_replacement,
 )
 from pcrobust.train import TrainConfig, train
 
-from conftest import random_cloud
+from conftest import random_axis_rotation, random_cloud
 from model_checks import miniature_max_fd_error
 from oracles import brute_density_weights
 from test_autodiff import op_cases
@@ -118,7 +119,7 @@ class TestDensityAwareSampling:
                 n = int(rng.integers(12, 96))
                 cloud = random_cloud(5000 + i, n=n)
                 base = density_profile(cloud, 5).weights
-                rot = random_rotation(rng)
+                rot = random_axis_rotation(rng)
                 shift = rng.standard_normal(3) * 10
                 scale = float(rng.uniform(0.05, 50))
                 moved = PointCloud(cloud.points @ rot.T + shift)
@@ -224,8 +225,8 @@ class TestModelInvariances:
                 permuted = PointCloud(cloud.points[perm])
                 start_new = int(np.argwhere(perm == 0)[0, 0])
                 spec = SampleSpec(m=8, variant="fps")
-                a = forward(cloud, params, spec, fps_start=0)
-                b = forward(permuted, params, spec, fps_start=start_new)
+                a = forward(cloud, params, spec)
+                b = forward(permuted, params, anchors=fps_sample(permuted, 8, start_new))
                 assert np.abs(a.logits.data - b.logits.data).max() <= 1e-9
                 for scores in a.attention_maps:
                     attn = ad.softmax_rows(scores, 1.0)

@@ -20,6 +20,7 @@ from pcrobust.config import (
     parse_flat_file,
 )
 from pcrobust.data import SyntheticDatasetSpec, derive_seed
+from pcrobust.losses import LossConfig
 from pcrobust.model import init_model, save_checkpoint
 from pcrobust.sampling import SAMPLER_VARIANTS, SampleSpec
 from pcrobust.train import TrainConfig
@@ -142,11 +143,12 @@ class TestCorruptCommand:
 
     def test_severity_validation(self, tmp_path):
         src, _ = write_cloud(tmp_path)
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as err:
             main(
                 ["corrupt", "--input", str(src), "--kind", "scale",
                  "--severity", "9", "--output", str(tmp_path / "x.rpc")]
             )
+        assert err.value.code == 2
 
 
 class TestEndToEnd:
@@ -264,6 +266,32 @@ class TestListFlags:
             main([command, *files, flag, value])
         assert err.value.code == 2
         assert f"argument {flag}: {value!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sample", "--m", "0"),
+            ("sample", "--k", "0"),
+            ("sample", "--m", "two"),
+            ("eval", "--k", "0"),
+            ("corrupt", "--severity", "9"),
+        ],
+        ids=["sample-m", "sample-k", "sample-m-text", "eval-k", "corrupt-severity"],
+    )
+    def test_bad_number_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        # the input does not exist: the flag is rejected before it is read
+        missing = str(tmp_path / "missing")
+        files = {
+            "sample": ["--input", missing, "--output", missing, "--m", "4"],
+            "eval": ["--ckpt", missing, "--data", missing, "--report", missing],
+            "corrupt": ["--input", missing, "--kind", "scale", "--output", missing],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main([command, *files, flag, value])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert f"argument {flag}: " in message and value in message
         assert not list(tmp_path.iterdir())
 
 
@@ -402,6 +430,19 @@ class TestConfigParsing:
         path.write_bytes(b"epochs = \xff\n")
         with pytest.raises(ConfigError, match="not UTF-8"):
             parse_flat_file(path)
+
+    def test_every_setting_has_a_key(self):
+        # a dataclass field that no config key sets is a setting without a caller
+        def names(cls, prefix=""):
+            return {prefix + f.name for f in dataclasses.fields(cls)}
+
+        settable = ({("data", name) for name in names(SyntheticDatasetSpec)}
+                    | {("train", name) for name in names(TrainConfig) - {"sampler", "loss"}}
+                    | {("train", name) for name in names(SampleSpec, "sampler.")}
+                    | {("train", name) for name in names(LossConfig, "loss.")})
+        keyed = {("data" if owner == "test" else owner, field)
+                 for owner, field, _ in KEYS.values()}
+        assert settable - keyed == set()
 
     def test_keys_apply_in_table_order(self):
         # a key lands after the keys its validity depends on, in any file order

@@ -7,11 +7,10 @@ from pcrobust.geometry import (
     PointCloud,
     knn,
     normalize_unit_sphere,
-    random_rotation,
 )
 from pcrobust.model import group_indices
 
-from conftest import random_cloud
+from conftest import random_axis_rotation, random_cloud
 from oracles import brute_knn
 
 
@@ -137,7 +136,7 @@ class TestKnn:
         cloud = random_cloud(11, n=48)
         table = knn(cloud, 6)
         for seed in range(5):
-            rot = random_rotation(np.random.default_rng(seed))
+            rot = random_axis_rotation(np.random.default_rng(seed))
             rotated = PointCloud(cloud.points @ rot.T)
             table_rot = knn(rotated, 6)
             assert np.abs(table.distances - table_rot.distances).max() <= 1e-9

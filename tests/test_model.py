@@ -20,7 +20,7 @@ from pcrobust.model import (
     save_checkpoint,
     self_attention_layer,
 )
-from pcrobust.sampling import SampleSpec
+from pcrobust.sampling import SampleSpec, fps_sample
 
 from conftest import random_cloud
 from model_checks import miniature_max_fd_error
@@ -64,8 +64,9 @@ class TestNeighborEmbed:
         permuted = PointCloud(cloud.points[perm])
         spec = SampleSpec(m=6, variant="fps")
         start_new = int(np.argwhere(perm == 0)[0, 0])
-        feats_a, anchors_a = network_input(cloud, params, spec, fps_start=0)
-        feats_b, anchors_b = network_input(permuted, params, spec, fps_start=start_new)
+        feats_a, anchors_a = network_input(cloud, params, spec)
+        feats_b, anchors_b = network_input(permuted, params,
+                                           anchors=fps_sample(permuted, 6, start_new))
         f_a, f_b = neighbor_embed(feats_a, params), neighbor_embed(feats_b, params)
         # the i-th anchor names the same physical point in both runs
         assert np.array_equal(perm[anchors_b], anchors_a)
@@ -162,8 +163,8 @@ class TestForward:
             permuted = PointCloud(cloud.points[perm])
             spec = SampleSpec(m=8, variant="fps")
             start_new = int(np.argwhere(perm == 0)[0, 0])
-            a = forward(cloud, params, spec, fps_start=0)
-            b = forward(permuted, params, spec, fps_start=start_new)
+            a = forward(cloud, params, spec)
+            b = forward(permuted, params, anchors=fps_sample(permuted, 8, start_new))
             assert np.abs(a.logits.data - b.logits.data).max() <= 1e-9
 
     def test_zero_params_tie_break(self):
@@ -296,7 +297,7 @@ class TestCheckpoint:
     def test_baseline_round_trip(self, tmp_path):
         params = init_baseline(np.random.default_rng(4), n_classes=5, hidden=6, d_feat=7)
         path = tmp_path / "baseline.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, SampleSpec(m=1))
         loaded, _ = load_checkpoint(path)
         assert loaded.n_classes == 5
         assert loaded.d_feat == 7
@@ -314,7 +315,7 @@ class TestCheckpoint:
     def test_round_trip_other_shapes(self, tmp_path, make):
         params = make(np.random.default_rng(5))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, SampleSpec(m=1))
         loaded, _ = load_checkpoint(path)
         assert [t.data.shape for t in loaded.tensors()] == [
             t.data.shape for t in params.tensors()
@@ -336,14 +337,14 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
-        save_checkpoint(tmp_path / "model.ckpt", mini_params(15))
+        save_checkpoint(tmp_path / "model.ckpt", mini_params(15), SampleSpec(m=8))
         assert calls == ["fsync", "replace"]
 
     def test_save_is_deterministic(self, tmp_path):
         params = mini_params(12)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, params)
-        save_checkpoint(p2, params)
+        save_checkpoint(p1, params, SampleSpec(m=8))
+        save_checkpoint(p2, params, SampleSpec(m=8))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -467,7 +468,7 @@ class TestCheckpoint:
         params = mini_params(14)
         params.head_b2.data = params.head_b2.data.view(Unserializable)
         with pytest.raises(RuntimeError, match="tobytes failed"):
-            save_checkpoint(path, params)
+            save_checkpoint(path, params, SampleSpec(m=8))
         assert path.read_bytes() == raw
 
         def failing_fsync(fd):
@@ -475,6 +476,6 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, mini_params(14))
+            save_checkpoint(path, mini_params(14), SampleSpec(m=8))
         assert path.read_bytes() == raw
         assert list(tmp_path.iterdir()) == [path]

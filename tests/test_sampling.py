@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from pcrobust.geometry import PointCloud, random_rotation
+from pcrobust.geometry import PointCloud
 from pcrobust.sampling import (
     InfeasibleSampleError,
     SampleSpec,
@@ -16,7 +16,7 @@ from pcrobust.sampling import (
     weighted_sample_without_replacement,
 )
 
-from conftest import random_cloud
+from conftest import random_axis_rotation, random_cloud
 from oracles import brute_ball_counts, brute_density_weights
 
 
@@ -126,7 +126,7 @@ class TestDensityProfile:
         base = density_profile(cloud, 5).weights
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            rot = random_rotation(rng)
+            rot = random_axis_rotation(rng)
             moved = PointCloud(cloud.points @ rot.T + rng.standard_normal(3))
             assert np.abs(density_profile(moved, 5).weights - base).max() <= 1e-9
 

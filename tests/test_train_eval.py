@@ -12,15 +12,17 @@ import pytest
 from pcrobust.ablate import run_grid, write_table_csv
 from pcrobust.autodiff import backward
 from pcrobust.config import build_dataset_specs
-from pcrobust.corruption import CorruptionSpec, apply_corruption
+from pcrobust.corruption import SEVERITIES, CorruptionSpec, apply_corruption
 from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
 from pcrobust.evaluate import (
+    EVAL_SEEDS,
     PredictionRecord,
     evaluate,
     report_from_log,
     write_log_csv,
     write_report_json,
 )
+from pcrobust.geometry import PointCloud
 from pcrobust.losses import LossConfig, attention_sem_loss
 from pcrobust.model import (
     BaselineParams,
@@ -35,7 +37,7 @@ from pcrobust.sampling import (
     das_sample,
     density_profile,
 )
-from pcrobust.train import SGD, TrainConfig, TrainingDiverged, minibatch_loss, train
+from pcrobust.train import SGD, Adam, TrainConfig, TrainingDiverged, minibatch_loss, train
 
 from oracles import per_cloud_evaluate, per_cloud_loss
 
@@ -150,6 +152,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(bad, tiny_config())
 
+    def test_unlabeled_cloud_is_named_before_any_step(self, monkeypatch):
+        dataset = tiny_dataset(per_class=2)
+        dataset[2] = PointCloud(dataset[2].points)
+        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        with pytest.raises(ValueError, match="cloud 2 has no label"):
+            train(dataset, tiny_config())
+
     def test_das_training_runs(self):
         dataset = tiny_dataset(per_class=3, points=64)
         cfg = tiny_config(sampler=SampleSpec(m=8, k=3, variant="das-l0"), epochs=1)
@@ -186,6 +195,20 @@ class TestEvaluate:
         assert report.er_cor == np.mean([report.per_kind[k] for k in sorted(kinds)])
         rebuilt = report_from_log(log)
         assert rebuilt == report
+
+    def test_unlabeled_cloud_is_named_before_any_prediction(self, stub_predict):
+        dataset = tiny_dataset(per_class=2, points=64)
+        dataset[1:] = [PointCloud(c.points) for c in dataset[1:]]
+        stub_predict(lambda c: pytest.fail("predicted an unlabeled cloud"))
+        with pytest.raises(ValueError, match="cloud 1 has no label"):
+            evaluate(STUB_PARAMS, dataset, kinds=("scale",))
+
+    def test_default_eval_seeds_and_severities(self, stub_predict):
+        dataset = tiny_dataset(per_class=1, points=64)
+        stub_predict(lambda c: c.label)
+        _, log = evaluate(STUB_PARAMS, dataset, kinds=("scale",))
+        assert sorted({r.eval_seed for r in log}) == list(EVAL_SEEDS) == [0, 1, 2, 3, 4]
+        assert sorted({r.severity for r in log} - {0}) == list(SEVERITIES)
 
     def test_restricted_severities(self, stub_predict):
         dataset = tiny_dataset(per_class=2, points=64)
