@@ -15,9 +15,9 @@ output tensor, so a dropped graph is freed by reference counting alone.
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
 axes: a 2-D weight multiplies every row as one product, ``transpose``
-swaps the last two axes and the softmaxes work on the last one. The one
-broadcast is ``linear``'s bias. Every op validates that its result is
-finite and raises NonFiniteError otherwise.
+swaps the last two axes, ``concat`` joins on the last one and the
+softmaxes work on it. The one broadcast is ``linear``'s bias. Every op
+validates that its result is finite and raises NonFiniteError otherwise.
 """
 
 from __future__ import annotations
@@ -141,16 +141,15 @@ def transpose(a: Tensor) -> Tensor:
     return _result(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join on the last axis."""
     tensors = list(tensors)
-    axis %= tensors[0].data.ndim
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-    lead = (slice(None),) * axis
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
 
     def pullback(g):
-        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets[:-1], offsets[1:])]
+        return [g[..., lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    data = np.concatenate([t.data for t in tensors], axis=-1)
     return _result(data, tensors, pullback)
 
 

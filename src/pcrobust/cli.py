@@ -100,13 +100,18 @@ def cmd_gen_data(args) -> int:
 
 
 def load_split(data_dir, split: str):
+    """The clouds of one split; ValueError names the first file without a label."""
     split_dir = Path(data_dir) / split
     if not split_dir.is_dir():
         split_dir = Path(data_dir)
     files = sorted(split_dir.glob("*.rpc")) + sorted(split_dir.glob("*.xyz"))
     if not files:
         raise FileNotFoundError(f"no cloud files under {split_dir}")
-    return [cloudio.read_cloud(f) for f in files]
+    clouds = [cloudio.read_cloud(f) for f in files]
+    for f, cloud in zip(files, clouds):
+        if cloud.label is None:
+            raise ValueError(f"{f}: no label; every cloud needs one")
+    return clouds
 
 
 def cmd_train(args) -> int:
@@ -157,11 +162,13 @@ def _among(options):
     return parse
 
 
-def _positive_int(text):
-    """An argparse ``type``: an int >= 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+def _int_at_least(low):
+    """An argparse ``type``: a decimal int >= ``low``."""
+    def parse(text):
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return int(text)
+    return parse
 
 
 _KINDS = _comma_list(_among(ALL_KINDS), f"corruption kinds ({', '.join(ALL_KINDS)})")
@@ -219,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="select anchor points from a cloud")
     p.add_argument("--input", required=True)
     p.add_argument("--sampler", choices=SAMPLER_VARIANTS, default="das-l0")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--k", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--m", type=_int_at_least(1), required=True)
+    p.add_argument("--k", type=_int_at_least(1), default=5)
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed of the generator das-* and random draw from")
     p.add_argument("--output", required=True)
     p.add_argument("--cloud-output")
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=list(ALL_KINDS))
     p.add_argument("--severity", type=int, choices=SEVERITIES, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--output")
     p.add_argument("--suite", action="store_true")
     p.add_argument("--output-dir")
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-seeds", type=_comma_list(int, "ints"), default=EVAL_SEEDS)
     p.add_argument("--corruption-seed", type=int, default=0)
     p.add_argument("--sampler", choices=SAMPLER_VARIANTS)
-    p.add_argument("--k", type=_positive_int)
+    p.add_argument("--k", type=_int_at_least(1))
     p.add_argument("--curves")
     p.add_argument("--log")
     p.set_defaults(func=cmd_eval)

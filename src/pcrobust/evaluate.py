@@ -8,6 +8,7 @@ audited from the raw predictions.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -90,22 +91,17 @@ def report_from_log(records) -> EvalReport:
 
 
 def predict_streams(cloud, params, sampler, streams):
-    """Predictions and capped flags for one cloud, one per random stream, as
-    one batch; see ``evaluate`` for the cap."""
-    if isinstance(params, BaselineParams):  # no sampling: one prediction serves all
-        preds = [network(cloud.points, params).prediction] * len(streams)
-        return preds, [False] * len(streams)
-    feats, capped = [], []
-    for stream in streams:
-        try:
-            f, _ = network_input(cloud, params, sampler, np.random.default_rng(stream))
-        except InfeasibleSampleError as err:
-            fewer = dataclasses.replace(sampler, m=err.available)
-            f, _ = network_input(cloud, params, fewer, np.random.default_rng(stream))
-        feats.append(f)
-        capped.append(len(f) < sampler.m)
-    logits = network(np.stack(feats), params).logits.data
-    return logits.argmax(axis=-1).tolist(), capped
+    """Predictions for one cloud, one per random stream, as one batch, and
+    whether m was capped; see ``evaluate`` for the cap."""
+    def inputs(spec):
+        return np.stack([network_input(cloud, params, spec, np.random.default_rng(s))[0]
+                         for s in streams])
+
+    try:
+        feats, capped = inputs(sampler), False
+    except InfeasibleSampleError as err:
+        feats, capped = inputs(dataclasses.replace(sampler, m=err.available)), True
+    return network(feats, params).logits.data.argmax(axis=-1).tolist(), capped
 
 
 def evaluate(
@@ -119,24 +115,25 @@ def evaluate(
 ):
     """Error rates of a trained model on clean and corrupted copies of a set.
 
-    With a stochastic sampler each cloud is predicted once per eval seed and
-    the 0/1 errors are averaged; fps is deterministic, so it gets only the
-    first eval seed. Each cloud's corrupted copies come from
-    ``corruption_suite`` with a per-cloud seed derived from
-    ``corruption_seed``.
+    Each cloud is predicted once per eval seed and the 0/1 errors are
+    averaged; an input step that reads no generator (fps, or the baseline,
+    which samples nothing) gets only the first eval seed. Each cloud's
+    corrupted copies come from ``corruption_suite`` with a per-cloud seed
+    derived from ``corruption_seed``.
 
-    When a cloud has fewer positive-weight points (any points, for fps and
-    random) than the sampler's m, that prediction is redone with m capped
-    at that count, from the same random stream, and its record is marked
-    ``capped``; the report counts them per cell. The eval seeds of a cloud
-    are one batch, on a no-grad view of the weights, and draw from the
-    density weights the cloud keeps. The baseline samples nothing, so one
-    prediction serves all of them.
+    Whether m anchors can be drawn depends on the cloud and sampler alone:
+    when a cloud has fewer positive-weight points (any points, for fps and
+    random) than m, all its eval seeds are redrawn once with m capped at
+    that count, each from a fresh generator on its stream, and their
+    records are marked ``capped``; the report counts them per cell. The
+    eval seeds of a cloud are one batch, on a no-grad view of the weights,
+    and draw from the density weights the cloud keeps.
     Every cloud needs a label: ValueError names the first without one.
     Returns (EvalReport, prediction log).
     """
     check_labeled(dataset)
-    if sampler is not None and sampler.variant == "fps":
+    if isinstance(params, BaselineParams) or (sampler is not None
+                                              and sampler.variant == "fps"):
         eval_seeds = tuple(eval_seeds)[:1]
     params = params.no_grad()
     records = []
@@ -147,31 +144,22 @@ def evaluate(
         for kind, severity, variant in variants:
             streams = [derive_seed(seed, "pred", i, kind, severity) for seed in eval_seeds]
             preds, capped = predict_streams(variant, params, sampler, streams)
-            records += [PredictionRecord(i, kind, severity, seed, cloud.label, pred, cap)
-                        for seed, pred, cap in zip(eval_seeds, preds, capped)]
+            records += [PredictionRecord(i, kind, severity, seed, cloud.label, pred, capped)
+                        for seed, pred in zip(eval_seeds, preds)]
     return report_from_log(records), records
 
 
 def write_log_csv(records, path) -> None:
-    import csv
-
+    """One row per record, its fields in order, ``capped`` as 0/1."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["cloud_index", "kind", "severity", "eval_seed", "label", "predicted",
-             "capped"]
-        )
-        for rec in records:
-            writer.writerow(
-                [rec.cloud_index, rec.kind, rec.severity, rec.eval_seed,
-                 rec.label, rec.predicted, int(rec.capped)]
-            )
+        writer.writerow([f.name for f in dataclasses.fields(PredictionRecord)])
+        writer.writerows([*dataclasses.astuple(rec)[:-1], int(rec.capped)]
+                         for rec in records)
 
 
 def write_severity_curves_csv(report: EvalReport, path) -> None:
     """Per-severity error-rate rows for external plotting."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "severity", "error_rate"])

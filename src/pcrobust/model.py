@@ -273,7 +273,7 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
         f, scores = self_attention_layer(f, layer, params.d_attn)
         stage_outputs.append(f)
         score_maps.append(scores)
-    f_o = ad.matmul(ad.concat(stage_outputs, axis=-1), params.w_o)
+    f_o = ad.matmul(ad.concat(stage_outputs), params.w_o)
     return ForwardTrace(_pool_head(f_o, params), score_maps, f_o)
 
 

@@ -133,7 +133,8 @@ def per_cloud_evaluate(params, dataset, sampler, kinds, severities, eval_seeds,
                        corruption_seed=0):
     """evaluate()'s prediction log, one forward pass per record: each seed
     tries m anchors, then on InfeasibleSampleError m = available from a
-    fresh generator on the same stream."""
+    fresh generator on the same stream. fps and the baseline draw nothing,
+    so they get the first eval seed only."""
     import dataclasses
 
     import numpy as np
@@ -141,10 +142,10 @@ def per_cloud_evaluate(params, dataset, sampler, kinds, severities, eval_seeds,
     from pcrobust.corruption import CorruptionSpec, apply_corruption
     from pcrobust.data import derive_seed
     from pcrobust.evaluate import PredictionRecord
-    from pcrobust.model import forward
+    from pcrobust.model import BaselineParams, forward
     from pcrobust.sampling import InfeasibleSampleError
 
-    if sampler is not None and sampler.variant == "fps":
+    if isinstance(params, BaselineParams) or sampler.variant == "fps":
         eval_seeds = tuple(eval_seeds)[:1]
     records = []
     for i, cloud in enumerate(dataset):

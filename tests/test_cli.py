@@ -276,8 +276,11 @@ class TestListFlags:
             ("sample", "--m", "two"),
             ("eval", "--k", "0"),
             ("corrupt", "--severity", "9"),
+            ("sample", "--seed", "-1"),
+            ("corrupt", "--seed", "-1"),
         ],
-        ids=["sample-m", "sample-k", "sample-m-text", "eval-k", "corrupt-severity"],
+        ids=["sample-m", "sample-k", "sample-m-text", "eval-k", "corrupt-severity",
+             "sample-seed", "corrupt-seed"],
     )
     def test_bad_number_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
         # the input does not exist: the flag is rejected before it is read
@@ -293,6 +296,37 @@ class TestListFlags:
         message = capsys.readouterr().err
         assert f"argument {flag}: " in message and value in message
         assert not list(tmp_path.iterdir())
+
+
+class TestUnlabeledDataFile:
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        """Three XYZ clouds, of which ``c1.xyz`` has no label line."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(3):
+            cloud = random_cloud(i, n=48, label=None if i == 1 else i % 2)
+            cloudio.write_cloud(cloud, data / f"c{i}.xyz")
+        return data
+
+    def test_train_names_the_file(self, tmp_path, data_dir):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG)
+        out = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=re.escape(f"{data_dir / 'c1.xyz'}: no label")):
+            main(["train", "--config", str(cfg), "--out", str(out), "--data", str(data_dir)])
+        assert not out.exists()
+
+    def test_eval_names_the_file(self, tmp_path, data_dir):
+        ckpt = tmp_path / "model.ckpt"
+        params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
+                            d_model=16, d_attn=4, group_k=4, n_layers=2)
+        save_checkpoint(ckpt, params, SampleSpec(m=8, k=5, variant="das-l0"))
+        report = tmp_path / "r.json"
+        with pytest.raises(ValueError, match=re.escape(f"{data_dir / 'c1.xyz'}: no label")):
+            main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                  "--report", str(report)])
+        assert not report.exists()
 
 
 class TestEvalSamplerOverride:

@@ -27,6 +27,7 @@ from pcrobust.losses import LossConfig, attention_sem_loss
 from pcrobust.model import (
     BaselineParams,
     forward,
+    init_baseline,
     init_model,
     network_input,
     save_checkpoint,
@@ -77,7 +78,7 @@ def stub_predict(monkeypatch):
 
     def install(fn):
         def predict_streams(cloud, params, sampler, streams):
-            return [fn(cloud)] * len(streams), [False] * len(streams)
+            return [fn(cloud)] * len(streams), False
 
         # the package's ``evaluate`` attribute is the function, not the module
         module = importlib.import_module("pcrobust.evaluate")
@@ -344,16 +345,21 @@ class TestCappedAnchors:
         }
 
     def test_retry_caps_m_and_reuses_the_stream(self, default_run):
+        # one try at m per variant cloud; if it fails, every seed draws again
+        # at the available count from a fresh generator on its stream
         test_set, sampler, _, log, positive, calls = default_run
         calls = iter(calls)
-        for rec in log:
-            stream = derive_seed(rec.eval_seed, "pred", rec.cloud_index, rec.kind,
-                                 rec.severity)
-            start = np.random.default_rng(stream).bit_generator.state
-            tries = [next(calls)] + ([next(calls)] if rec.capped else [])
-            assert [state for _, state in tries] == [start] * len(tries)
-            available = positive[rec.cloud_index, rec.kind]
-            assert [m for m, _ in tries] == [64, available][: len(tries)]
+        for (i, kind, severity), cell in itertools.groupby(
+                log, key=lambda r: (r.cloud_index, r.kind, r.severity)):
+            cell = list(cell)
+            starts = [np.random.default_rng(derive_seed(r.eval_seed, "pred", i, kind,
+                                                        severity)).bit_generator.state
+                      for r in cell]
+            if cell[0].capped:
+                expected = [(64, starts[0])] + [(positive[i, kind], s) for s in starts]
+            else:
+                expected = [(64, s) for s in starts]
+            assert [next(calls) for _ in expected] == expected
         assert next(calls, None) is None
 
     def test_sampling_stays_strict(self, default_run):
@@ -472,6 +478,15 @@ def _grid_clouds(points=200, per_class=1):
                         classes=("sphere", "cube", "plane"))
 
 
+def _grid_params(arch="attention"):
+    """Untrained weights for the three classes of ``_grid_clouds``."""
+    rng = np.random.default_rng(3)
+    if arch == "baseline":
+        return init_baseline(rng, n_classes=3, hidden=8, d_feat=8)
+    return init_model(rng, n_classes=3, m_anchors=64, d_model=8, d_attn=4, group_k=4,
+                      n_layers=2)
+
+
 class TestBatchedPaths:
     """One graph per minibatch and graph-free, seed-batched prediction give
     what one graph or one prediction per cloud gives."""
@@ -519,24 +534,50 @@ class TestBatchedPaths:
         for got, want in zip(trained.tensors(), params.tensors()):
             assert np.abs(got.data - want.data).max() <= 1e-12
 
-    @pytest.mark.parametrize("variant", ["das-l0", "das-ballquery-l0", "fps", "random"])
-    def test_evaluate_matches_per_cloud_oracle(self, variant):
+    @pytest.mark.parametrize(
+        "arch, variant",
+        [("attention", "das-l0"), ("attention", "das-ballquery-l0"), ("attention", "fps"),
+         ("attention", "random"), ("baseline", "das-l0")],
+        ids=["das-l0", "das-ballquery-l0", "fps", "random", "baseline"],
+    )
+    def test_evaluate_matches_per_cloud_oracle(self, arch, variant):
         # drop-global at severity 5 leaves 50 of 200 points, fewer than m
         clouds = _grid_clouds()
-        params = init_model(np.random.default_rng(3), n_classes=3, m_anchors=64,
-                            d_model=8, d_attn=4, group_k=4, n_layers=2)
+        params = _grid_params(arch)
         sampler = SampleSpec(m=64, k=5, variant=variant)
         grid = dict(kinds=("drop-global", "impulse"), severities=(1, 5),
                     eval_seeds=(0, 1, 2), corruption_seed=4)
         _, log = evaluate(params, clouds, sampler=sampler, **grid)
         assert log == per_cloud_evaluate(params, clouds, sampler, **grid)
-        assert any(r.capped for r in log)
+        # the baseline samples nothing, so nothing is capped
+        assert any(r.capped for r in log) == (arch == "attention")
+
+    @pytest.mark.parametrize(
+        "arch, variant",
+        [("attention", "das-l0"), ("attention", "fps"), ("attention", "random"),
+         ("baseline", "das-l0")],
+        ids=["das-l0", "fps", "random", "baseline"],
+    )
+    def test_records_per_cell_follow_the_stream_rule(self, arch, variant):
+        # fps and the baseline read no generator: one record per variant cloud
+        clouds = _grid_clouds()
+        kinds, severities, eval_seeds = ("drop-global", "impulse"), (1, 5), (0, 1, 2)
+        _, log = evaluate(_grid_params(arch), clouds,
+                          sampler=SampleSpec(m=64, k=5, variant=variant), kinds=kinds,
+                          severities=severities, eval_seeds=eval_seeds)
+        variants = len(clouds) * (1 + len(kinds) * len(severities))
+        draws = arch == "attention" and variant != "fps"
+        assert len(log) == variants * (len(eval_seeds) if draws else 1)
+        capped = {}
+        for r in log:
+            capped.setdefault((r.cloud_index, r.kind, r.severity), set()).add(r.capped)
+        assert len(capped) == variants
+        assert all(len(flags) == 1 for flags in capped.values())
 
     @pytest.mark.parametrize("variant", ["das-l0", "fps", "random"])
     def test_too_few_points_are_capped_for_every_sampler(self, variant):
         clouds = _grid_clouds()
-        params = init_model(np.random.default_rng(3), n_classes=3, m_anchors=64,
-                            d_model=8, d_attn=4, group_k=4, n_layers=2)
+        params = _grid_params()
         report, log = evaluate(params, clouds, sampler=SampleSpec(m=64, variant=variant),
                                kinds=("drop-global",), severities=(5,), eval_seeds=(0, 1))
         dropped = [r for r in log if r.kind == "drop-global"]
