@@ -11,7 +11,7 @@ from .config import ConfigError
 from .corruption import ALL_KINDS, CorruptionSpec, apply_corruption, corruption_suite
 from .data import SyntheticDatasetSpec, gen_dataset
 from .evaluate import EvalReport, PredictionRecord, evaluate, report_from_log
-from .geometry import NeighborTable, PointCloud, knn, normalize_unit_sphere
+from .geometry import NeighborTable, PointCloud, normalize_unit_sphere
 from .losses import (
     LossConfig,
     attention_sem_loss,
@@ -83,7 +83,6 @@ __all__ = [
     "gen_dataset",
     "init_baseline",
     "init_model",
-    "knn",
     "load_checkpoint",
     "neighbor_embed",
     "normalize_unit_sphere",

@@ -45,7 +45,7 @@ def run_grid(
 
 
 def write_table_csv(rows, path) -> None:
-    """The rows as CSV, columns in the order ``run_grid`` gave them."""
+    """Dict rows as CSV; the columns are the first row's keys, in order."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

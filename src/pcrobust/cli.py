@@ -8,7 +8,6 @@ or the full suite), ``gen-data`` (synthetic dataset to disk), ``train``,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -125,12 +124,7 @@ def cmd_train(args) -> int:
     result = train(dataset, tc)
     save_checkpoint(args.out, result.params, result.sampler)
     if args.curve:
-        with open(args.curve, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["epoch", "train_loss", "val_error"]
-            )
-            writer.writeheader()
-            writer.writerows(result.curve)
+        write_table_csv(result.curve, args.curve)
     print(
         f"trained {tc.epochs} epochs; best val error "
         f"{result.best_val_error:.4f} at epoch {result.best_epoch}; "

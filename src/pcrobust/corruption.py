@@ -45,6 +45,8 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if self.severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}, got {self.severity}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def apply_corruption(cloud: PointCloud, spec: CorruptionSpec) -> PointCloud:

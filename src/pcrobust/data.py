@@ -136,6 +136,8 @@ class SyntheticDatasetSpec:
             raise ValueError("per_class must be >= 1")
         if self.points < 1:
             raise ValueError("points must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         unknown = [c for c in self.classes if c not in SHAPE_GENERATORS]
         if unknown:
             raise ValueError(f"unknown shape classes {unknown}")

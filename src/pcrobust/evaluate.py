@@ -33,7 +33,7 @@ class PredictionRecord:
     eval_seed: int
     label: int
     predicted: int
-    capped: bool = False  # anchors capped at the positive-weight count
+    capped: bool = False  # anchors capped at the count the sampler could draw
 
 
 @dataclass(frozen=True)

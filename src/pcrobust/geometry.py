@@ -1,9 +1,11 @@
-"""Point-cloud container, unit-sphere normalization, and exact kNN queries.
+"""Point-cloud container, unit-sphere normalization, and exact neighbour tables.
 
 Clouds are plain N x 3 float64 arrays wrapped with an optional class label.
 A cloud is a *set* of points: any row permutation denotes the same object,
 and nothing here returns permutation-dependent results except through
-explicit index outputs.
+explicit index outputs. A cloud's one neighbour query is its cached,
+self-inclusive table (``PointCloud.neighbors``): the model's groups read
+its first columns, the density score columns 1..k of a (k+1)-wide table.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class NeighborTable:
     cloud caches (``PointCloud.neighbors``) is self-inclusive: a point's
     own index sits at distance 0, after any coincident copies with lower
     index, so with more than ``k`` such copies it is not in the row at
-    all. ``knn`` returns rows with the point's own index removed.
+    all. Column 0 is always at distance 0, so columns 1..k of a
+    (k+1)-wide table hold the distances to the k nearest other points.
     """
 
     indices: np.ndarray
@@ -148,26 +151,6 @@ def _nearest_columns(points: np.ndarray, width: int) -> NeighborTable:
     return NeighborTable(
         indices=np.take_along_axis(cols, order, axis=1),
         distances=np.take_along_axis(near, order, axis=1),
-    )
-
-
-def knn(cloud: PointCloud, k: int) -> NeighborTable:
-    """Exact Euclidean k nearest neighbors of every point, self excluded.
-
-    Ties are broken by ascending point index so output is reproducible
-    across platforms. Reads the cloud's cached neighbour table. Requires
-    1 <= k <= N-1.
-    """
-    n = cloud.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={n}")
-    table = cloud.neighbors(k + 1)
-    keep = table.indices != np.arange(n)[:, None]
-    # self beyond the first k+1 columns: the row holds k+1 others, drop the last
-    keep[keep.all(axis=1), -1] = False
-    return NeighborTable(
-        indices=table.indices[keep].reshape(n, k),
-        distances=table.distances[keep].reshape(n, k),
     )
 
 

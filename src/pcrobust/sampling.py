@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, knn, pairwise_distances, unit_sphere_frame
+from .geometry import PointCloud, pairwise_distances, unit_sphere_frame
 
 SAMPLER_VARIANTS = ("das-l0", "das-l1", "das-ballquery-l0", "fps", "random")
 _DENSITY_OF = {"das-l0": "l0", "das-l1": "l1", "das-ballquery-l0": "ballquery"}
@@ -22,15 +22,16 @@ BALL_QUERY_CAP = 64
 
 
 class InfeasibleSampleError(ValueError):
-    """Requested more distinct draws than there are positive-weight entries or points."""
+    """Requested more distinct draws than there are candidates: the
+    positive-weight entries of a weighted draw, the points otherwise."""
 
-    def __init__(self, requested: int, available: int):
-        super().__init__(requested, available)  # args rebuild it when unpickled
-        self.requested, self.available = requested, available
+    def __init__(self, requested: int, available: int, candidates: str):
+        super().__init__(requested, available, candidates)  # args rebuild it when unpickled
+        self.requested, self.available, self.candidates = requested, available, candidates
 
     def __str__(self) -> str:
         return (f"cannot draw {self.requested} distinct indices from "
-                f"{self.available} positive-weight entries")
+                f"{self.available} {self.candidates}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,17 @@ def density_profile(cloud: PointCloud, k: int, variant: str = "l0") -> DensityPr
     """
     if variant not in _DENSITY_OF.values():
         raise ValueError(f"unknown density variant {variant!r}")
-    table = knn(cloud, k)
-    d = table.distances.mean(axis=1)
+    if not 1 <= k <= cloud.n - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={cloud.n}")
+    # column 0 is at distance 0 (the point or a coincident copy): drop it
+    near = cloud.neighbors(k + 1).distances[:, 1:]
+    d = near.mean(axis=1)
     t = float(d.mean())
 
     if variant == "l0":
-        raw = (table.distances < t).sum(axis=1).astype(np.float64)
+        raw = (near < t).sum(axis=1).astype(np.float64)
     elif variant == "l1":
-        raw = np.maximum(t - table.distances, 0.0).sum(axis=1)
+        raw = np.maximum(t - near, 0.0).sum(axis=1)
     else:
         _, r = unit_sphere_frame(cloud.points)
         within = (pairwise_distances(cloud.points) < BALL_QUERY_RADIUS * r).sum(axis=1)
@@ -132,7 +136,7 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
         raise ValueError("weights must be nonnegative")
     positive = int(np.count_nonzero(w > 0))
     if m > positive:
-        raise InfeasibleSampleError(m, positive)
+        raise InfeasibleSampleError(m, positive, "positive-weight entries")
     u = 1.0 - rng.random(w.size)
     # zero weights take log(0) before where() drops them; u == 1 keys +inf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -157,7 +161,7 @@ def fps_sample(cloud: PointCloud, m: int, start: int = 0) -> np.ndarray:
     """
     n = cloud.n
     if m > n:
-        raise InfeasibleSampleError(m, n)
+        raise InfeasibleSampleError(m, n, "points")
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= N, got m={m}, N={n}")
     if not 0 <= start < n:
@@ -181,7 +185,7 @@ def random_sample(
 ) -> np.ndarray:
     """Uniform sampling without replacement; InfeasibleSampleError when m > N."""
     if m > cloud.n:
-        raise InfeasibleSampleError(m, cloud.n)
+        raise InfeasibleSampleError(m, cloud.n, "points")
     if not 1 <= m <= cloud.n:
         raise ValueError(f"m must satisfy 1 <= m <= N, got m={m}, N={cloud.n}")
     return rng.permutation(cloud.n)[:m].astype(np.int64)

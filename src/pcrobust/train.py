@@ -59,6 +59,10 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if min(self.epochs, self.batch_size) < 1 or self.lr <= 0:
             raise ValueError("epochs, batch_size, lr must be positive")
+        if min(self.d_model, self.d_attn, self.group_k, self.n_layers) < 1:
+            raise ValueError("d_model, d_attn, group_k, n_layers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 <= self.val_fraction < 1:
             raise ValueError("val_fraction must be in [0, 1)")
         if self.loss.sem_weight > 0 and self.loss.sem_mode == "attention":

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pcrobust.ablate as ablate
 import pcrobust.cli as cli
 from pcrobust import cloudio
 from pcrobust.cli import main
@@ -442,9 +443,16 @@ class TestConfigParsing:
             ("seed = 1\nlambda = nan\n", 2, "lambda"),
             ("lr = inf\n", 1, "lr"),
             ("tau = -inf\n", 1, "tau"),
+            ("epochs = 2\nseed = -1\n", 2, "seed"),
+            ("data_seed = -1\n", 1, "data_seed"),
+            ("d_model = 0\n", 1, "d_model"),
+            ("d_attn = 0\n", 1, "d_attn"),
+            ("group_k = 0\n", 1, "group_k"),
+            ("lambda = 0\nn_layers = 0\n", 2, "n_layers"),
         ],
         ids=["int", "float", "list", "repeated", "grid-value", "unknown", "points-0",
-             "baseline-attention-sem", "nan", "inf", "minus-inf"],
+             "baseline-attention-sem", "nan", "inf", "minus-inf", "seed-negative",
+             "data-seed-negative", "d-model-0", "d-attn-0", "group-k-0", "n-layers-0"],
     )
     def test_malformed_config_names_file_line_and_key(self, tmp_path, text, line, key):
         path = tmp_path / "run.cfg"
@@ -454,6 +462,17 @@ class TestConfigParsing:
             cfg = parse_flat_file(path)
             build_dataset_specs(cfg)
             build_train_config(cfg)
+
+    def test_bad_grid_cell_trains_no_cell(self, tmp_path, monkeypatch):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(TINY_CONFIG.replace("seed = 1", "seed = 0|-1"))
+        trained = []
+        monkeypatch.setattr(ablate, "train", lambda *args: trained.append(args))
+        where = re.escape(f"{grid}:17: seed = '-1'")
+        with pytest.raises(ConfigError, match=rf"^{where}"):
+            main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "table.csv"),
+                  "--kinds", "scale"])
+        assert trained == []
 
     def test_malformed_dict_config_names_key(self):
         with pytest.raises(ConfigError, match=r"^epochs = 'abc': invalid literal"):

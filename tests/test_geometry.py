@@ -5,10 +5,10 @@ from pcrobust.corruption import CorruptionSpec, apply_corruption
 from pcrobust.geometry import (
     NeighborTable,
     PointCloud,
-    knn,
     normalize_unit_sphere,
 )
 from pcrobust.model import group_indices
+from pcrobust.sampling import density_profile
 
 from conftest import random_axis_rotation, random_cloud
 from oracles import brute_knn
@@ -83,70 +83,74 @@ class TestNormalize:
 
 
 class TestKnn:
+    """Columns 1..k of a cloud's (k+1)-wide neighbour table are its k
+    nearest other points; on clouds without coincident points column 0
+    is the point itself."""
+
     def test_collinear_example(self):
         cloud = PointCloud([[0, 0, 0], [1, 0, 0], [2, 0, 0], [4, 0, 0]])
-        table = knn(cloud, 2)
-        assert table.indices[0].tolist() == [1, 2]
-        assert table.distances[0].tolist() == [1.0, 2.0]
+        table = cloud.neighbors(3)
+        assert table.indices[0].tolist() == [0, 1, 2]
+        assert table.distances[0].tolist() == [0.0, 1.0, 2.0]
 
     def test_equilateral_triangle(self):
         side = 2.0
         h = side * np.sqrt(3) / 2
         cloud = PointCloud([[0, 0, 0], [side, 0, 0], [side / 2, h, 0]])
-        table = knn(cloud, 2)
-        assert np.allclose(table.distances, side)
+        table = cloud.neighbors(3)
+        assert table.indices[:, 0].tolist() == [0, 1, 2]
+        assert np.allclose(table.distances[:, 1:], side)
 
     def test_k_equals_n_minus_1(self):
         cloud = random_cloud(3, n=10)
-        table = knn(cloud, 9)
+        table = cloud.neighbors(10)
         for i in range(10):
-            assert sorted(table.indices[i].tolist()) == [
+            assert table.indices[i, 0] == i
+            assert sorted(table.indices[i, 1:].tolist()) == [
                 j for j in range(10) if j != i
             ]
             assert (np.diff(table.distances[i]) >= 0).all()
 
-    def test_excludes_self(self):
-        cloud = random_cloud(4, n=20)
-        table = knn(cloud, 5)
-        for i in range(20):
-            assert i not in table.indices[i]
-
     def test_invalid_k(self):
+        # a table of k neighbours besides the point is k + 1 wide, so
+        # k = N (width N + 1) and k = -1 (width 0) are out of range
         cloud = random_cloud(5, n=8)
-        with pytest.raises(ValueError):
-            knn(cloud, 8)
-        with pytest.raises(ValueError):
-            knn(cloud, 0)
+        for width in (0, 9):
+            message = rf"^width must satisfy 1 <= width <= N, got {width}$"
+            with pytest.raises(ValueError, match=message):
+                cloud.neighbors(width)
 
     def test_tie_break_by_index(self):
         # point 0 has two neighbors at exactly distance 1
         cloud = PointCloud([[0, 0, 0], [0, 0, 1], [1, 0, 0]])
-        table = knn(cloud, 1)
-        assert table.indices[0, 0] == 1
+        table = cloud.neighbors(2)
+        assert table.indices[0].tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed,n,k", [(0, 16, 3), (1, 64, 5), (2, 256, 7)])
     def test_brute_force_oracle(self, seed, n, k):
         cloud = random_cloud(seed, n=n)
-        table = knn(cloud, k)
+        table = cloud.neighbors(k + 1)
         idx, dist = brute_knn(cloud.points.tolist(), k)
-        assert table.indices.tolist() == idx
-        assert np.abs(table.distances - np.array(dist)).max() <= 1e-12
+        assert np.array_equal(table.indices[:, 0], np.arange(n))
+        assert (table.distances[:, 0] == 0).all()
+        assert table.indices[:, 1:].tolist() == idx
+        assert np.abs(table.distances[:, 1:] - np.array(dist)).max() <= 1e-12
 
     def test_rotation_invariance(self):
         cloud = random_cloud(11, n=48)
-        table = knn(cloud, 6)
+        table = cloud.neighbors(7)
         for seed in range(5):
             rot = random_axis_rotation(np.random.default_rng(seed))
             rotated = PointCloud(cloud.points @ rot.T)
-            table_rot = knn(rotated, 6)
+            table_rot = rotated.neighbors(7)
             assert np.abs(table.distances - table_rot.distances).max() <= 1e-9
             for i in range(cloud.n):
                 assert set(table.indices[i]) == set(table_rot.indices[i])
 
     def test_table_type(self):
-        table = knn(random_cloud(6, n=12), 4)
+        table = random_cloud(6, n=12).neighbors(5)
         assert isinstance(table, NeighborTable)
-        assert table.k == 4
+        assert table.k == 5
         assert (table.distances >= 0).all()
 
 
@@ -170,6 +174,14 @@ def stable_order(points):
     return order, np.take_along_axis(dist, order, axis=1)
 
 
+def self_excluded(order, dist, k):
+    """The first k distances of each row of ``stable_order`` after removing
+    the point's own entry."""
+    n = len(order)
+    others = order != np.arange(n)[:, None]
+    return dist[others].reshape(n, n - 1)[:, :k]
+
+
 class TestNeighborTable:
     @pytest.mark.parametrize("cloud", tie_heavy_clouds() + [random_cloud(8, n=50)])
     def test_matches_stable_argsort(self, cloud):
@@ -187,23 +199,26 @@ class TestNeighborTable:
         for i in range(20):
             assert table.indices[i].tolist() == list(range(6))
         assert (table.distances[:20] == 0).all()
-        assert knn(cloud, 5).indices[10].tolist() == list(range(5))
-        assert knn(cloud, 5).indices[3].tolist() == [0, 1, 2, 4, 5]
 
     @pytest.mark.parametrize("cloud", tie_heavy_clouds())
     def test_knn_matches_oracle_and_reference(self, cloud):
+        # with coincident copies, column 0 may hold a lower-index copy and
+        # the point itself a later column, but the distances are the same
         order, dist = stable_order(cloud.points)
-        n = cloud.n
-        for k in (1, 5, 8, n - 1):
-            table = knn(cloud, k)
-            idx, d = brute_knn(cloud.points.tolist(), k)
-            assert table.indices.tolist() == idx
-            assert np.abs(table.distances - np.array(d)).max() <= 1e-12
-            others = order != np.arange(n)[:, None]
-            ref = order[others].reshape(n, n - 1)[:, :k]
-            ref_dist = dist[others].reshape(n, n - 1)[:, :k]
-            assert np.array_equal(table.indices, ref)
-            assert table.distances.tobytes() == ref_dist.tobytes()
+        for k in (1, 5, 8, cloud.n - 1):
+            table = cloud.neighbors(k + 1)
+            _, d = brute_knn(cloud.points.tolist(), k)
+            assert (table.distances[:, 0] == 0).all()
+            assert np.abs(table.distances[:, 1:] - np.array(d)).max() <= 1e-12
+            assert np.array_equal(table.indices, order[:, : k + 1])
+            assert table.distances[:, 1:].tobytes() == self_excluded(order, dist, k).tobytes()
+
+    @pytest.mark.parametrize("cloud", tie_heavy_clouds())
+    def test_density_reads_self_excluded_columns(self, cloud):
+        order, dist = stable_order(cloud.points)
+        for k in (1, 5, 8, cloud.n - 1):
+            ref = self_excluded(order, dist, k).mean(axis=1)
+            assert density_profile(cloud, k).mean_knn_dist.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("cloud", tie_heavy_clouds())
     def test_group_indices_match_reference(self, cloud):
@@ -216,7 +231,7 @@ class TestNeighborTable:
         cloud = random_cloud(9, n=30)
         wide = cloud.neighbors(8)
         narrow = cloud.neighbors(3)
-        knn(cloud, 5)
+        cloud.neighbors(6)
         assert len(table_builds) == 1
         assert np.array_equal(narrow.indices, wide.indices[:, :3])
         wider = cloud.neighbors(12)

@@ -85,17 +85,18 @@ class TestDensityProfile:
         assert ((prof.weights == 0) == (prof.raw_counts == 0)).all()
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            density_profile(random_cloud(0, n=5), 5)
+        cloud = random_cloud(5, n=8)
+        for k in (0, 8):
+            message = rf"^k must satisfy 1 <= k <= N-1, got k={k}, N=8$"
+            with pytest.raises(ValueError, match=message):
+                density_profile(cloud, k)
 
     def test_l1_variant(self):
         cloud = random_cloud(21, n=40)
         prof = density_profile(cloud, 5, variant="l1")
-        from pcrobust.geometry import knn
-
-        table = knn(cloud, 5)
-        t = table.distances.mean(axis=1).mean()
-        expected = np.maximum(t - table.distances, 0.0).sum(axis=1)
+        near = cloud.neighbors(6).distances[:, 1:]
+        t = near.mean(axis=1).mean()
+        expected = np.maximum(t - near, 0.0).sum(axis=1)
         assert np.allclose(prof.raw_counts, expected)
         assert abs(prof.weights.sum() - 1.0) <= 1e-9
 
@@ -301,6 +302,8 @@ class TestTooFewPoints:
         with pytest.raises(InfeasibleSampleError) as err:
             draw(cloud, 6)
         assert (err.value.requested, err.value.available) == (6, 5)
+        assert str(err.value) == "cannot draw 6 distinct indices from 5 points"
+        assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
         with pytest.raises(ValueError) as err:
             draw(cloud, 0)
         assert not isinstance(err.value, InfeasibleSampleError)
