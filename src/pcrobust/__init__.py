@@ -44,7 +44,7 @@ from .sampling import (
     sample_anchors,
     weighted_sample_without_replacement,
 )
-from .train import TrainConfig, TrainingDiverged, TrainResult, train
+from .train import InfeasibleAnchorsError, TrainConfig, TrainingDiverged, TrainResult, train
 
 __all__ = [
     "ALL_KINDS",
@@ -56,6 +56,7 @@ __all__ = [
     "DensityProfile",
     "EvalReport",
     "ForwardTrace",
+    "InfeasibleAnchorsError",
     "InfeasibleSampleError",
     "LossConfig",
     "ModelParams",

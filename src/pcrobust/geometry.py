@@ -21,7 +21,8 @@ class PointCloud:
 
     The cloud carries one cache of what depends on its points alone: the
     lazily built neighbour table (see ``neighbors``) and whatever ``memo``
-    keeps, such as density profiles. It lives as long as the cloud object.
+    keeps: density profiles and FPS anchors. It lives as long as the cloud
+    object.
     """
 
     points: np.ndarray
@@ -49,7 +50,9 @@ class PointCloud:
 
     def memo(self, key, build):
         """``build()``, called on the first request for ``key`` and kept on
-        the cloud: the points are read-only, so it cannot go stale."""
+        the cloud: the points are read-only, so it cannot go stale. The
+        samplers keep one density profile per (k, density variant) and one
+        FPS anchor array per m; a build that raises keeps nothing."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]

@@ -144,12 +144,25 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
     return np.argsort(-keys, kind="stable")[:m]
 
 
-def das_sample(cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator) -> np.ndarray:
-    """Density-aware sampling: the cloud's density weights, built once per
-    (k, density variant) and kept on the cloud, then a weighted draw."""
+def _kept_profile(cloud: PointCloud, spec: SampleSpec) -> DensityProfile:
+    """The cloud's density weights for spec, built once per (k, density
+    variant) and kept on the cloud."""
     key = ("density", spec.k, spec.density_variant)
-    profile = cloud.memo(key, lambda: density_profile(cloud, spec.k, spec.density_variant))
-    return weighted_sample_without_replacement(profile.weights, spec.m, rng)
+    return cloud.memo(key, lambda: density_profile(cloud, spec.k, spec.density_variant))
+
+
+def das_sample(cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator) -> np.ndarray:
+    """Density-aware sampling: a weighted draw from the density weights the
+    cloud keeps."""
+    return weighted_sample_without_replacement(_kept_profile(cloud, spec).weights, spec.m, rng)
+
+
+def anchor_candidates(cloud: PointCloud, spec: SampleSpec) -> int:
+    """How many distinct anchors ``sample_anchors`` can draw from the cloud:
+    its points of positive density weight for DAS, all its points otherwise."""
+    if spec.variant not in _DENSITY_OF:
+        return cloud.n
+    return int(np.count_nonzero(_kept_profile(cloud, spec).weights))
 
 
 def fps_sample(cloud: PointCloud, m: int, start: int = 0) -> np.ndarray:
@@ -194,9 +207,14 @@ def random_sample(
 def sample_anchors(
     cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Dispatch to the strategy named by spec.variant; fps starts at point 0."""
+    """Dispatch to the strategy named by spec.variant. FPS starts at point 0,
+    so its read-only anchors are built once per m and kept on the cloud."""
     if spec.variant == "fps":
-        return fps_sample(cloud, spec.m)
+        def build():
+            anchors = fps_sample(cloud, spec.m)
+            anchors.flags.writeable = False
+            return anchors
+        return cloud.memo(("fps", spec.m), build)
     if rng is None:
         raise ValueError(f"sampler {spec.variant!r} draws at random: pass a generator")
     if spec.variant == "random":

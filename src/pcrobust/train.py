@@ -5,7 +5,9 @@ minibatches, each cloud's network input (``network_input``: anchors drawn
 and grouped, or the baseline's points) in batch order, then one graph per
 minibatch over the stacked inputs, mean batch loss = classification +
 weighted self-entropy term, one optimizer step per batch. A cloud keeps
-its neighbour table and density weights, so every epoch reuses them.
+its neighbour table, density weights and FPS anchors, so every epoch and
+every validation pass reuses them. Before the first step every cloud is
+checked for at least m anchor candidates.
 A fixed fraction of the training clouds is held out per seed and predicted
 on a no-grad view of the weights, which builds no graph; the
 best-by-validation parameters are returned.
@@ -29,11 +31,25 @@ from .losses import (
 )
 from .model import (BaselineParams, ModelParams, init_baseline, init_model, network,
                     network_input)
-from .sampling import SampleSpec
+from .sampling import InfeasibleSampleError, SampleSpec, anchor_candidates
 
 
 class TrainingDiverged(RuntimeError):
     """The loss became non-finite during optimization."""
+
+
+class InfeasibleAnchorsError(InfeasibleSampleError):
+    """A training or validation cloud has fewer anchor candidates than
+    ``m_anchors``; ``train()`` raises it before any optimizer step."""
+
+    def __init__(self, requested: int, available: int, index: int, sampler: str):
+        super().__init__(requested, available, "anchor candidates")
+        self.args = (requested, available, index, sampler)
+        self.index, self.sampler = index, sampler
+
+    def __str__(self) -> str:
+        return (f"dataset cloud {self.index}: m_anchors = {self.requested} is infeasible "
+                f"for sampler {self.sampler}: {super().__str__()}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +170,9 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     """Train on labeled clouds; returns the best-by-validation parameters.
 
     Deterministic per config.seed: the same seed reproduces the returned
-    parameters bit for bit. Raises TrainingDiverged when the loss goes
-    non-finite.
+    parameters bit for bit. Raises InfeasibleAnchorsError, before any
+    step, when a cloud cannot give m anchors, and TrainingDiverged when
+    the loss goes non-finite.
     """
     check_labeled(dataset)
     labels = sorted({c.label for c in dataset})
@@ -165,6 +182,12 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     sizes = sorted({c.n for c in dataset})
     if config.arch == "baseline" and len(sizes) > 1:
         raise ValueError(f"arch 'baseline' stacks whole clouds: sizes {sizes} differ")
+    if config.arch == "attention":
+        m, variant = config.sampler.m, config.sampler.variant
+        for index, cloud in enumerate(dataset):
+            available = anchor_candidates(cloud, config.sampler)
+            if available < m:
+                raise InfeasibleAnchorsError(m, available, index, variant)
 
     rng = np.random.default_rng(config.seed)
     if config.arch == "attention":

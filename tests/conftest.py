@@ -49,15 +49,26 @@ def table_builds(monkeypatch):
     return built
 
 
-@pytest.fixture
-def profile_builds(monkeypatch):
-    """The cloud of every density_profile call, in call order."""
+def _record_clouds(monkeypatch, name):
+    """Patch ``sampling.<name>`` to record the cloud of every call, in call order."""
     built = []
-    real = sampling.density_profile
+    real = getattr(sampling, name)
 
     def counting(cloud, *args, **kwargs):
         built.append(cloud)
         return real(cloud, *args, **kwargs)
 
-    monkeypatch.setattr(sampling, "density_profile", counting)
+    monkeypatch.setattr(sampling, name, counting)
     return built
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """The cloud of every density_profile call, in call order."""
+    return _record_clouds(monkeypatch, "density_profile")
+
+
+@pytest.fixture
+def fps_builds(monkeypatch):
+    """The cloud of every fps_sample call, in call order."""
+    return _record_clouds(monkeypatch, "fps_sample")

@@ -4,10 +4,12 @@ import time
 import numpy as np
 import pytest
 
-from pcrobust.geometry import PointCloud
+from pcrobust.corruption import CorruptionSpec, apply_corruption
+from pcrobust.geometry import PointCloud, normalize_unit_sphere
 from pcrobust.sampling import (
     InfeasibleSampleError,
     SampleSpec,
+    anchor_candidates,
     das_sample,
     density_profile,
     fps_sample,
@@ -336,6 +338,54 @@ class TestAnchorProfile:
             b = das_sample(random_cloud(15, n=40), spec, np.random.default_rng(0))
             assert np.array_equal(a, b)
         assert len([c for c in profile_builds if c is cloud]) == len(specs)
+
+
+@pytest.mark.parametrize("variant", ["das-l0", "das-l1", "das-ballquery-l0", "fps", "random"])
+def test_anchor_candidates_is_the_largest_feasible_m(variant):
+    cloud = PointCloud(np.vstack([random_cloud(19, n=30).points, [[9.0, 9.0, 9.0]]]))
+    available = anchor_candidates(cloud, SampleSpec(m=1, k=3, variant=variant))
+    assert available == (31 if variant in ("fps", "random") else 30)
+    sample_anchors(cloud, SampleSpec(m=available, k=3, variant=variant),
+                   np.random.default_rng(0))
+    with pytest.raises(InfeasibleSampleError) as err:
+        sample_anchors(cloud, SampleSpec(m=available + 1, k=3, variant=variant),
+                       np.random.default_rng(0))
+    assert err.value.available == available
+
+
+class TestFpsAnchorsKept:
+    """FPS anchors are built once per m and kept, read-only, on the cloud."""
+
+    def test_one_build_per_m(self, fps_builds):
+        cloud = random_cloud(16, n=40)
+        for m in (5, 7, 5, 7):
+            kept = sample_anchors(cloud, SampleSpec(m=m, variant="fps"))
+            assert np.array_equal(kept, fps_sample(random_cloud(16, n=40), m))
+            assert kept is sample_anchors(cloud, SampleSpec(m=m, variant="fps"))
+            with pytest.raises(ValueError):
+                kept[0] = 1
+        assert [id(c) for c in fps_builds] == [id(cloud)] * 2
+
+    def test_infeasible_request_keeps_nothing(self, fps_builds):
+        cloud = random_cloud(17, n=5)
+        for _ in range(2):
+            with pytest.raises(InfeasibleSampleError):
+                sample_anchors(cloud, SampleSpec(m=6, variant="fps"))
+        assert [id(c) for c in fps_builds] == [id(cloud)] * 2
+        absent = object()
+        assert cloud.memo(("fps", 6), lambda: absent) is absent
+        assert np.array_equal(sample_anchors(cloud, SampleSpec(m=5, variant="fps")),
+                              fps_sample(cloud, 5))
+
+    def test_copies_start_without_the_anchors(self, fps_builds):
+        cloud = random_cloud(18, n=40)
+        spec = SampleSpec(m=6, variant="fps")
+        sample_anchors(cloud, spec)
+        copies = [apply_corruption(cloud, CorruptionSpec("jitter-gaussian", 1, 0)),
+                  cloud.with_points(cloud.points), normalize_unit_sphere(cloud)]
+        for copy in copies + [cloud]:
+            sample_anchors(copy, spec)
+        assert [id(c) for c in fps_builds] == [id(c) for c in [cloud] + copies]
 
 
 class TestSampleSpec:

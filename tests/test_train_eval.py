@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from pcrobust.sampling import (
     das_sample,
     density_profile,
 )
-from pcrobust.train import SGD, Adam, TrainConfig, TrainingDiverged, minibatch_loss, train
+from pcrobust.train import (SGD, Adam, InfeasibleAnchorsError, TrainConfig, TrainingDiverged,
+                            minibatch_loss, train)
 
 from oracles import per_cloud_evaluate, per_cloud_loss
 
@@ -159,6 +161,32 @@ class TestTrain:
         monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
         with pytest.raises(ValueError, match="cloud 2 has no label"):
             train(dataset, tiny_config())
+
+    def test_infeasible_anchors_are_named_before_any_step(self, monkeypatch):
+        # 64-point clouds keep fewer than 20 points with a ball-query neighbour
+        dataset = tiny_dataset(per_class=4, points=64)
+        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        cfg = tiny_config(sampler=SampleSpec(m=20, variant="das-ballquery-l0"))
+        with pytest.raises(InfeasibleSampleError) as err:
+            train(dataset, cfg)
+        positive = [int(np.count_nonzero(density_profile(c, 5, "ballquery").weights))
+                    for c in dataset]
+        first = next(i for i, n in enumerate(positive) if n < 20)
+        assert isinstance(err.value, InfeasibleAnchorsError)
+        assert str(err.value) == (
+            f"dataset cloud {first}: m_anchors = 20 is infeasible for sampler "
+            f"das-ballquery-l0: cannot draw 20 distinct indices from {positive[first]} "
+            f"anchor candidates")
+        assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
+
+    def test_every_cloud_is_checked_whichever_split_it_lands_in(self):
+        for index in range(4):
+            dataset = tiny_dataset(per_class=2)
+            dataset[index] = PointCloud(dataset[index].points[:6], dataset[index].label)
+            with pytest.raises(InfeasibleAnchorsError) as err:
+                train(dataset, tiny_config())
+            assert (err.value.index, err.value.available) == (index, 6)
+            assert "m_anchors = 8 is infeasible for sampler fps" in str(err.value)
 
     def test_das_training_runs(self):
         dataset = tiny_dataset(per_class=3, points=64)
@@ -593,6 +621,13 @@ class TestBatchedPaths:
         train(data, config)
         assert len(profile_builds) == len(data)
         assert {id(c) for c in profile_builds} == {id(c) for c in data}
+
+    @pytest.mark.parametrize("epochs", [2, 10])
+    def test_train_builds_one_fps_per_cloud(self, fps_builds, epochs):
+        data = tiny_dataset(seed=7, per_class=6, points=32)
+        config = tiny_config(d_model=8, n_layers=1, epochs=epochs, batch_size=4)
+        train(data, config)
+        assert sorted(id(c) for c in fps_builds) == sorted(id(c) for c in data)
 
     def test_one_density_profile_per_variant_cloud(self, profile_builds):
         params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
