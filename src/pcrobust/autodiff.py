@@ -6,7 +6,10 @@ pullback)``: ``pullback(g)`` is a pure function of the output gradient
 that returns one gradient per parent, in parent order, and mutates
 nothing (``linear`` returns None for a constant input). ``backward``
 alone accumulates those gradients into the parents that require them, in
-the deterministic reverse topological order of construction. Accumulation
+the deterministic reverse topological order of construction, and drops an
+interior node's gradient as soon as its pullback has returned, so only
+leaves keep a gradient after backward and a second call over the same
+graph adds the same gradients to the leaves again. Accumulation
 is out of place (``grad + g``, never ``grad += g``) because a pullback
 may hand the same array, or views of it, to several parents, as ``add``
 and ``concat`` do. A pullback closes over the op's inputs, never over its
@@ -62,7 +65,12 @@ def _result(data: np.ndarray, parents, pullback) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Backpropagate from a scalar; returns {leaf tensor: gradient array}."""
+    """Backpropagate from a scalar; returns {leaf tensor: gradient array}.
+
+    Each interior node's gradient is freed once its pullback has run, so
+    afterwards only leaves hold one; a second call over the same graph
+    adds the same gradients to the leaves again.
+    """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -89,6 +97,7 @@ def backward(loss: Tensor):
         for p, g in zip(node._prev, node._pullback(node.grad)):
             if p.requires_grad:
                 p.grad = g if p.grad is None else p.grad + g
+        node.grad = None
     return {t: t.grad for t in order if t._pullback is None}
 
 

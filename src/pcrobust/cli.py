@@ -35,7 +35,7 @@ from .evaluate import (
 from .geometry import PointCloud
 from .model import load_checkpoint, save_checkpoint
 from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
-from .train import train
+from .train import InfeasibleAnchorsError, train
 
 
 def cmd_sample(args) -> int:
@@ -99,7 +99,8 @@ def cmd_gen_data(args) -> int:
 
 
 def load_split(data_dir, split: str):
-    """The clouds of one split; ValueError names the first file without a label."""
+    """The files of one split and their clouds, in the same order; ValueError
+    names the first file without a label."""
     split_dir = Path(data_dir) / split
     if not split_dir.is_dir():
         split_dir = Path(data_dir)
@@ -110,18 +111,24 @@ def load_split(data_dir, split: str):
     for f, cloud in zip(files, clouds):
         if cloud.label is None:
             raise ValueError(f"{f}: no label; every cloud needs one")
-    return clouds
+    return files, clouds
 
 
 def cmd_train(args) -> int:
     cfg = parse_flat_file(args.config)
     tc = build_train_config(cfg)
     if args.data:
-        dataset = load_split(args.data, "train")
+        files, dataset = load_split(args.data, "train")
     else:
         train_spec, _ = build_dataset_specs(cfg)
         dataset = gen_dataset(train_spec)
-    result = train(dataset, tc)
+    try:
+        result = train(dataset, tc)
+    except InfeasibleAnchorsError as err:
+        if not args.data:
+            raise
+        raise InfeasibleAnchorsError(err.requested, err.available, err.index, err.sampler,
+                                     path=files[err.index]) from None
     save_checkpoint(args.out, result.params, result.sampler)
     if args.curve:
         write_table_csv(result.curve, args.curve)
@@ -176,7 +183,7 @@ def cmd_eval(args) -> int:
         sampler = dataclasses.replace(sampler, variant=args.sampler)
     if args.k is not None:
         sampler = dataclasses.replace(sampler, k=args.k)
-    dataset = load_split(args.data, "test")
+    _, dataset = load_split(args.data, "test")
     report, log = evaluate(
         params,
         dataset,

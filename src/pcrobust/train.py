@@ -40,15 +40,18 @@ class TrainingDiverged(RuntimeError):
 
 class InfeasibleAnchorsError(InfeasibleSampleError):
     """A training or validation cloud has fewer anchor candidates than
-    ``m_anchors``; ``train()`` raises it before any optimizer step."""
+    ``m_anchors``; ``train()`` raises it before any optimizer step. The
+    message names the cloud's file, ``path``, or its index in the dataset
+    when ``path`` is None (an in-memory dataset)."""
 
-    def __init__(self, requested: int, available: int, index: int, sampler: str):
+    def __init__(self, requested: int, available: int, index: int, sampler: str, path):
         super().__init__(requested, available, "anchor candidates")
-        self.args = (requested, available, index, sampler)
-        self.index, self.sampler = index, sampler
+        self.args = (requested, available, index, sampler, path)
+        self.index, self.sampler, self.path = index, sampler, path
 
     def __str__(self) -> str:
-        return (f"dataset cloud {self.index}: m_anchors = {self.requested} is infeasible "
+        where = self.path if self.path is not None else f"dataset cloud {self.index}"
+        return (f"{where}: m_anchors = {self.requested} is infeasible "
                 f"for sampler {self.sampler}: {super().__str__()}")
 
 
@@ -187,7 +190,7 @@ def train(dataset, config: TrainConfig) -> TrainResult:
         for index, cloud in enumerate(dataset):
             available = anchor_candidates(cloud, config.sampler)
             if available < m:
-                raise InfeasibleAnchorsError(m, available, index, variant)
+                raise InfeasibleAnchorsError(m, available, index, variant, path=None)
 
     rng = np.random.default_rng(config.seed)
     if config.arch == "attention":

@@ -168,3 +168,30 @@ def per_cloud_evaluate(params, dataset, sampler, kinds, severities, eval_seeds,
                 records.append(PredictionRecord(i, kind, severity, seed, cloud.label,
                                                 trace.prediction, capped))
     return records
+
+
+def keeping_backward(loss):
+    """``autodiff.backward`` as it was before interior gradients were
+    released: the same visiting order and accumulation, but every node,
+    interior or leaf, keeps its gradient. Returns {leaf: gradient}."""
+    import numpy as np
+
+    order, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._prev
+                     if p.requires_grad and id(p) not in visited)
+    loss.grad = np.ones(())
+    for node in reversed(order):
+        if node._pullback is not None:
+            for p, g in zip(node._prev, node._pullback(node.grad)):
+                if p.requires_grad:
+                    p.grad = g if p.grad is None else p.grad + g
+    return {t: t.grad for t in order if t._pullback is None}

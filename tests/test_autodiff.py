@@ -83,6 +83,15 @@ class TestBackwardBasics:
         grads = backward(loss)
         assert np.array_equal(grads[x], 2 * np.ones((2, 2)))
 
+    def test_second_backward_accumulates_the_same_gradient(self):
+        # interior gradients are dropped after use, so the second call does
+        # not add onto what the first left on them
+        x = Tensor(np.array([1.0, -1.0, 2.0]), requires_grad=True)
+        loss = ad.tsum(ad.relu(ad.mul_scalar(x, 2.0)))
+        first = backward(loss)[x].copy()
+        assert np.array_equal(first, [2.0, 0.0, 2.0])
+        assert np.array_equal(backward(loss)[x], 2 * first)
+
     def test_shared_pullback_output_is_not_mutated(self):
         # add hands one array to both parents; a's second contribution (from
         # mul) must not leak into b's gradient through that shared array

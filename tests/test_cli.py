@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import pickle
 import re
 import subprocess
 import sys
@@ -20,11 +21,12 @@ from pcrobust.config import (
     expand_grid,
     parse_flat_file,
 )
-from pcrobust.data import SyntheticDatasetSpec, derive_seed
+from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
 from pcrobust.losses import LossConfig
 from pcrobust.model import init_model, save_checkpoint
-from pcrobust.sampling import SAMPLER_VARIANTS, SampleSpec
-from pcrobust.train import TrainConfig
+from pcrobust.sampling import (SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec,
+                               anchor_candidates)
+from pcrobust.train import Adam, InfeasibleAnchorsError, TrainConfig
 
 from conftest import random_cloud
 
@@ -207,6 +209,35 @@ class TestEndToEnd:
         assert rc == 0
         lines = table.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 sampler rows
+
+    def test_train_names_the_file_of_an_infeasible_cloud(self, tmp_path, monkeypatch):
+        # 64-point clouds keep fewer than 20 points with a ball-query neighbour
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG.replace("points = 48", "points = 64")
+                       .replace("m_anchors = 8", "m_anchors = 20")
+                       .replace("sampler = fps", "sampler = das-ballquery-l0"))
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
+        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        spec = build_train_config(parse_flat_file(cfg)).sampler
+        ckpt = tmp_path / "model.ckpt"
+        tail = "m_anchors = 20 is infeasible for sampler das-ballquery-l0: cannot draw"
+
+        files = sorted((data_dir / "train").glob("*.rpc"))
+        first = next(f for f in files if anchor_candidates(cloudio.read_cloud(f), spec) < 20)
+        with pytest.raises(InfeasibleSampleError) as err:
+            main(["train", "--config", str(cfg), "--out", str(ckpt), "--data", str(data_dir)])
+        assert isinstance(err.value, InfeasibleAnchorsError)
+        assert str(err.value).startswith(f"{first}: {tail}")
+        assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
+
+        # the in-memory dataset has no files, so it names the cloud's index
+        dataset = gen_dataset(build_dataset_specs(parse_flat_file(cfg))[0])
+        index = next(i for i, c in enumerate(dataset) if anchor_candidates(c, spec) < 20)
+        with pytest.raises(InfeasibleAnchorsError) as err:
+            main(["train", "--config", str(cfg), "--out", str(ckpt)])
+        assert str(err.value).startswith(f"dataset cloud {index}: {tail}")
+        assert not ckpt.exists()
 
     def test_gen_data_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
