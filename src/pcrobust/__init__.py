@@ -25,6 +25,7 @@ from .model import (
     CheckpointFormatError,
     ForwardTrace,
     ModelParams,
+    TooFewPointsError,
     forward,
     init_baseline,
     init_model,
@@ -67,6 +68,7 @@ __all__ = [
     "SampleSpec",
     "SyntheticDatasetSpec",
     "Tensor",
+    "TooFewPointsError",
     "TrainConfig",
     "TrainResult",
     "TrainingDiverged",

@@ -19,8 +19,12 @@ Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
 axes: a 2-D weight multiplies every row as one product, ``transpose``
 swaps the last two axes, ``concat`` joins on the last one and the
-softmaxes work on it. The one broadcast is ``linear``'s bias. Every op
-validates that its result is finite and raises NonFiniteError otherwise.
+softmaxes work on it. The one broadcast is a bias over rows. The one
+fused op, ``mlp_max``, is a two-layer ReLU MLP over the last axis of a
+constant (..., g, c) array followed by the max over g; its pullback
+recomputes the hidden layer one slot at a time instead of keeping it.
+Every op validates that its result is finite and raises NonFiniteError
+otherwise.
 """
 
 from __future__ import annotations
@@ -244,6 +248,67 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, _rows(x.data).T @ g, g.sum(axis=0)
 
     return _result(data.reshape(x.data.shape[:-1] + b.data.shape), (x, w, b), pullback)
+
+
+def mlp_max(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """max over axis -2 of relu(x @ w1 + b1) @ w2 + b2, for a constant
+    (..., g, c) array x: the (..., d_out) shared point MLP and group max of
+    a set-abstraction step, with ``linear``/``relu``/``max_axis``'s
+    arithmetic and finiteness checks, the hidden layer's before its ReLU.
+
+    Each output's gradient routes to the first of the g slots that attains
+    the max, as in ``max_axis``; x gets none. When a weight requires a
+    gradient the node keeps x, the weights and each output's winning slot
+    as ``np.min_scalar_type(g - 1)`` (uint8 up to g = 256), and the
+    pullback recomputes the hidden layer one slot at a time, so no
+    (..., g, d) array outlives the call.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise NonFiniteError("mlp_max input has non-finite values")
+    for w, b in ((w1, b1), (w2, b2)):
+        if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+            raise ValueError(f"bias shape {b.data.shape} does not fit weight {w.data.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _rows(x) @ w1.data
+        h += b1.data
+        if not np.isfinite(h).all():  # the ReLU would clip a -inf
+            raise NonFiniteError("operation produced non-finite values")
+        np.maximum(h, 0.0, out=h)
+        y = h @ w2.data
+        y += b2.data
+    if not np.isfinite(y).all():
+        raise NonFiniteError("operation produced non-finite values")
+    y = y.reshape(x.shape[:-1] + b2.data.shape)
+    data = y.max(axis=-2)
+    weights = (w1, b1, w2, b2)
+    if not any(w.requires_grad for w in weights):
+        return _result(data, weights, None)
+    g = x.shape[-2]
+    slot = np.zeros(data.shape, np.min_scalar_type(g - 1))
+    lost = np.ones(data.shape, bool)  # every slot so far fell short of the max
+    for s in range(g - 1):
+        lost &= y[..., s, :] != data
+        slot += lost
+
+    def pullback(grad):
+        grad, won = _rows(grad), _rows(slot)
+        grads = [np.zeros_like(w.data) for w in weights]
+        gw1, gb1, gw2, gb2 = grads
+        for s in range(g):
+            xs = _rows(x[..., s, :])
+            pre = xs @ w1.data
+            pre += b1.data
+            gs = grad * (won == s)
+            gw2 += np.maximum(pre, 0.0).T @ gs
+            gb2 += gs.sum(axis=0)
+            gh = gs @ w2.data.T
+            gh *= pre > 0.0
+            gw1 += xs.T @ gh
+            gb1 += gh.sum(axis=0)
+        return grads
+
+    return _result(data, weights, pullback)
 
 
 def finite_diff_check(f, x: Tensor, eps: float = 1e-4) -> float:

@@ -33,7 +33,7 @@ from .evaluate import (
     write_severity_curves_csv,
 )
 from .geometry import PointCloud
-from .model import load_checkpoint, save_checkpoint
+from .model import TooFewPointsError, load_checkpoint, save_checkpoint
 from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
 from .train import InfeasibleAnchorsError, train
 
@@ -129,6 +129,11 @@ def cmd_train(args) -> int:
             raise
         raise InfeasibleAnchorsError(err.requested, err.available, err.index, err.sampler,
                                      path=files[err.index]) from None
+    except TooFewPointsError as err:
+        if not args.data:
+            raise
+        raise TooFewPointsError(str(files[err.index]), err.index, err.n, err.group_k,
+                                err.sampler) from None
     save_checkpoint(args.out, result.params, result.sampler)
     if args.curve:
         write_table_csv(result.curve, args.curve)

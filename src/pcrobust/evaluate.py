@@ -18,7 +18,8 @@ import numpy as np
 
 from .corruption import ALL_KINDS, SEVERITIES, corruption_suite
 from .data import check_labeled, derive_seed
-from .model import BaselineParams, network, network_input
+from .model import (BaselineParams, TooFewPointsError, input_width, network,
+                    network_input)
 from .sampling import InfeasibleSampleError, SampleSpec
 
 CLEAN = "clean"
@@ -129,6 +130,9 @@ def evaluate(
     eval seeds of a cloud are one batch, on a no-grad view of the weights,
     and draw from the density weights the cloud keeps.
     Every cloud needs a label: ValueError names the first without one.
+    Before a cloud's first prediction, TooFewPointsError names the first of
+    its variants with fewer points than the model's groups or the
+    sampler's neighbour table take.
     Returns (EvalReport, prediction log).
     """
     check_labeled(dataset)
@@ -136,11 +140,17 @@ def evaluate(
                                               and sampler.variant == "fps"):
         eval_seeds = tuple(eval_seeds)[:1]
     params = params.no_grad()
+    grouped = sampler is not None and not isinstance(params, BaselineParams)
+    width = input_width(params.group_k, sampler) if grouped else 1
     records = []
     for i, cloud in enumerate(dataset):
         suite = corruption_suite(cloud, kinds, derive_seed(corruption_seed, "cloud", i),
                                  severities)
         variants = [(CLEAN, 0, cloud)] + [(s.kind, s.severity, c) for s, c in suite]
+        for kind, severity, variant in variants:
+            if variant.n < width:
+                raise TooFewPointsError(f"cloud {i}, {kind} severity {severity}", i,
+                                        variant.n, params.group_k, sampler)
         for kind, severity, variant in variants:
             streams = [derive_seed(seed, "pred", i, kind, severity) for seed in eval_seeds]
             preds, capped = predict_streams(variant, params, sampler, streams)

@@ -196,6 +196,32 @@ def init_baseline(
     )
 
 
+class TooFewPointsError(ValueError):
+    """A cloud with fewer points than ``network_input`` reads
+    (``input_width``). ``where`` names the cloud and ``index`` is its
+    position in the dataset."""
+
+    def __init__(self, where: str, index: int, n: int, group_k: int, sampler: SampleSpec):
+        super().__init__(where, index, n, group_k, sampler)
+        self.where, self.index, self.n, self.group_k, self.sampler = (
+            where, index, n, group_k, sampler)
+
+    def __str__(self) -> str:
+        reads = f"sampler {self.sampler.variant}"
+        if self.sampler.neighbor_width > 1:
+            reads += f" with k = {self.sampler.k}"
+        return (f"{self.where}: {self.n} points, fewer than the "
+                f"{input_width(self.group_k, self.sampler)} that group_k = {self.group_k} "
+                f"and {reads} read")
+
+
+def input_width(group_k: int, sampler: SampleSpec) -> int:
+    """The fewest points ``network_input`` groups, and the neighbour-table
+    width it builds: a group's ``group_k`` points, and the k + 1 columns a
+    DAS sampler's density score reads."""
+    return max(group_k, sampler.neighbor_width)
+
+
 def group_indices(cloud: PointCloud, anchors: np.ndarray, group_k: int) -> np.ndarray:
     """Self-inclusive nearest original points of each anchor, ties by index."""
     if not 1 <= group_k <= cloud.n:
@@ -223,7 +249,7 @@ def network_input(
     if anchors is None:
         if sampler is None:
             raise ValueError("either a sampler spec or explicit anchors required")
-        cloud.neighbors(min(max(params.group_k, sampler.neighbor_width), cloud.n))
+        cloud.neighbors(min(input_width(params.group_k, sampler), cloud.n))
         anchors = sample_anchors(cloud, sampler, rng)
     anchors = np.asarray(anchors, dtype=np.int64)
     pts = cloud.points
@@ -235,9 +261,10 @@ def network_input(
 
 def neighbor_embed(feats: np.ndarray, params: ModelParams) -> Tensor:
     """Shared MLP over (..., M, g, 6) group features, then max over each
-    group: (..., M, D), invariant to the order within a group."""
-    h = ad.relu(ad.linear(Tensor(feats), params.embed_w1, params.embed_b1))
-    return ad.max_axis(ad.linear(h, params.embed_w2, params.embed_b2), axis=-2)
+    group: (..., M, D), invariant to the order within a group. One
+    ``mlp_max`` op, whose graph keeps no (..., M, g, D) array."""
+    return ad.mlp_max(feats, params.embed_w1, params.embed_b1,
+                      params.embed_w2, params.embed_b2)
 
 
 def self_attention_layer(f_in: Tensor, layer: AttentionLayerParams, d_attn: int):

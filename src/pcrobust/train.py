@@ -7,7 +7,7 @@ minibatch over the stacked inputs, mean batch loss = classification +
 weighted self-entropy term, one optimizer step per batch. A cloud keeps
 its neighbour table, density weights and FPS anchors, so every epoch and
 every validation pass reuses them. Before the first step every cloud is
-checked for at least m anchor candidates.
+checked for enough points to group and at least m anchor candidates.
 A fixed fraction of the training clouds is held out per seed and predicted
 on a no-grad view of the weights, which builds no graph; the
 best-by-validation parameters are returned.
@@ -29,8 +29,8 @@ from .losses import (
     smoothed_cross_entropy,
     total_loss,
 )
-from .model import (BaselineParams, ModelParams, init_baseline, init_model, network,
-                    network_input)
+from .model import (BaselineParams, ModelParams, TooFewPointsError, init_baseline,
+                    init_model, input_width, network, network_input)
 from .sampling import InfeasibleSampleError, SampleSpec, anchor_candidates
 
 
@@ -173,9 +173,10 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     """Train on labeled clouds; returns the best-by-validation parameters.
 
     Deterministic per config.seed: the same seed reproduces the returned
-    parameters bit for bit. Raises InfeasibleAnchorsError, before any
-    step, when a cloud cannot give m anchors, and TrainingDiverged when
-    the loss goes non-finite.
+    parameters bit for bit. Raises TooFewPointsError, before any step,
+    when a cloud has fewer points than its groups or the sampler's
+    neighbour table take, InfeasibleAnchorsError when it cannot give m
+    anchors, and TrainingDiverged when the loss goes non-finite.
     """
     check_labeled(dataset)
     labels = sorted({c.label for c in dataset})
@@ -188,6 +189,9 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     if config.arch == "attention":
         m, variant = config.sampler.m, config.sampler.variant
         for index, cloud in enumerate(dataset):
+            if cloud.n < input_width(config.group_k, config.sampler):
+                raise TooFewPointsError(f"dataset cloud {index}", index, cloud.n,
+                                        config.group_k, config.sampler)
             available = anchor_candidates(cloud, config.sampler)
             if available < m:
                 raise InfeasibleAnchorsError(m, available, index, variant, path=None)

@@ -1,0 +1,112 @@
+"""Build the parity record ``tests/golden/tiny.json``.
+
+The record holds, for the das-l0, fps and random samplers and for the
+baseline:
+
+* the prediction log and report of a short corruption grid, from fixed
+  ``init_model``/``init_baseline`` weights on the test split of the tiny
+  end-to-end config (``test_cli.TINY_CONFIG``);
+* the training curve of that config, with the sampler (or the arch)
+  swapped in.
+
+``test_golden.py`` rebuilds it with ``golden()`` and compares. A change
+that moves outputs on purpose regenerates the file:
+
+    PYTHONPATH=src python tests/make_golden.py
+
+and prints each trained checkpoint's sha256, which depends on the BLAS
+kernels and so stays out of the committed file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from pcrobust.config import build_dataset_specs, build_train_config, parse_flat_file
+from pcrobust.data import gen_dataset
+from pcrobust.evaluate import evaluate
+from pcrobust.model import init_baseline, init_model, save_checkpoint
+from pcrobust.train import train
+
+from test_cli import TINY_CONFIG
+
+GOLDEN = Path(__file__).parent / "golden" / "tiny.json"
+SAMPLERS = ("das-l0", "fps", "random")
+ARCHS = SAMPLERS + ("baseline",)
+KINDS = ("jitter-gaussian", "impulse", "drop-global", "add-global")
+SEVERITIES = (1, 5)  # drop-global at 5 leaves 12 of the 48 points
+EVAL_SEEDS = (0, 1)
+WEIGHTS_SEED = 11
+
+
+def _config(arch: str) -> dict:
+    """TINY_CONFIG as a key table, with ``arch`` as its sampler or its arch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.cfg"
+        path.write_text(TINY_CONFIG)
+        cfg = dict(parse_flat_file(path))
+    if arch == "baseline":
+        cfg.update(arch="baseline", **{"lambda": "0"})
+    else:
+        cfg["sampler"] = arch
+    return cfg
+
+
+def _eval_record(arch: str) -> dict:
+    cfg = _config(arch)
+    tc = build_train_config(cfg)
+    _, test_spec = build_dataset_specs(cfg)
+    rng = np.random.default_rng(WEIGHTS_SEED)
+    if arch == "baseline":
+        params = init_baseline(rng, 2, hidden=tc.d_model, d_feat=tc.d_model)
+    else:
+        params = init_model(rng, 2, m_anchors=tc.sampler.m, d_model=tc.d_model,
+                            d_attn=tc.d_attn, group_k=tc.group_k, n_layers=tc.n_layers)
+    report, records = evaluate(params, gen_dataset(test_spec), tc.sampler, KINDS,
+                               SEVERITIES, EVAL_SEEDS)
+    return {"log": [list(dataclasses.astuple(r)) for r in records],
+            "report": report.to_dict()}
+
+
+def _trained(arch: str):
+    cfg = _config(arch)
+    train_spec, _ = build_dataset_specs(cfg)
+    return train(gen_dataset(train_spec), build_train_config(cfg))
+
+
+def golden() -> dict:
+    return {
+        "config": TINY_CONFIG,
+        "eval": {"kinds": list(KINDS), "severities": list(SEVERITIES),
+                 "eval_seeds": list(EVAL_SEEDS), "weights_seed": WEIGHTS_SEED},
+        "archs": {arch: {**_eval_record(arch), "curve": _trained(arch).curve}
+                  for arch in ARCHS},
+    }
+
+
+def checkpoint_sha256(arch: str) -> str:
+    result = _trained(arch)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(path, result.params, result.sampler)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")
+    for arch in ARCHS:
+        print(f"{arch}: checkpoint sha256 {checkpoint_sha256(arch)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

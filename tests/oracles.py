@@ -195,3 +195,12 @@ def keeping_backward(loss):
                 if p.requires_grad:
                     p.grad = g if p.grad is None else p.grad + g
     return {t: t.grad for t in order if t._pullback is None}
+
+
+def embed_chain(feats, w1, b1, w2, b2):
+    """The neighbour embedding as the four generic ops it was before
+    ``autodiff.mlp_max``: linear, relu, linear, then max over axis -2."""
+    from pcrobust import autodiff as ad
+
+    h = ad.relu(ad.linear(ad.Tensor(feats), w1, b1))
+    return ad.max_axis(ad.linear(h, w2, b2), axis=-2)

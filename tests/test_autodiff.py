@@ -259,6 +259,20 @@ def op_cases(seed):
         ("linear[b, 3-D]", lambda t: ad.mean(ad.mul(ad.linear(c234, c43, t), c233)),
          rng.standard_normal(3)),
     ]
+    # mlp_max over (2, 3, 4) groups, hidden width 5, 3 outputs; drawn after
+    # the cases above so that their inputs stay the same
+    xg = rng.standard_normal((2, 3, 4))
+    w1, b1, w2, b2 = (rng.standard_normal(s) for s in ((4, 5), (5,), (5, 3), (3,)))
+    cw1, cb1, cw2, cb2 = Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2)
+    c23, c3_ = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal(3))
+    cases += [
+        ("mlp_max[w1]", lambda t: ad.mean(ad.mul(ad.mlp_max(xg, t, cb1, cw2, cb2), c23)), w1),
+        ("mlp_max[b1]", lambda t: ad.mean(ad.mul(ad.mlp_max(xg, cw1, t, cw2, cb2), c23)), b1),
+        ("mlp_max[w2]", lambda t: ad.mean(ad.mul(ad.mlp_max(xg, cw1, cb1, t, cb2), c23)), w2),
+        ("mlp_max[b2]", lambda t: ad.mean(ad.mul(ad.mlp_max(xg, cw1, cb1, cw2, t), c23)), b2),
+        ("mlp_max[w1, 2-D]",
+         lambda t: ad.mean(ad.mul(ad.mlp_max(xg[0], t, cb1, cw2, cb2), c3_)), w1),
+    ]
     return cases
 
 

@@ -23,7 +23,7 @@ from pcrobust.config import (
 )
 from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
 from pcrobust.losses import LossConfig
-from pcrobust.model import init_model, save_checkpoint
+from pcrobust.model import TooFewPointsError, init_model, save_checkpoint
 from pcrobust.sampling import (SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec,
                                anchor_candidates)
 from pcrobust.train import Adam, InfeasibleAnchorsError, TrainConfig
@@ -238,6 +238,18 @@ class TestEndToEnd:
             main(["train", "--config", str(cfg), "--out", str(ckpt)])
         assert str(err.value).startswith(f"dataset cloud {index}: {tail}")
         assert not ckpt.exists()
+
+    def test_train_names_the_file_of_a_cloud_smaller_than_group_k(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG.replace("group_k = 4", "group_k = 50"))
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
+        first = sorted((data_dir / "train").glob("*.rpc"))[0]
+        with pytest.raises(TooFewPointsError) as err:
+            main(["train", "--config", str(cfg), "--out", str(tmp_path / "model.ckpt"),
+                  "--data", str(data_dir)])
+        assert str(err.value) == (f"{first}: 48 points, fewer than the 50 that "
+                                  "group_k = 50 and sampler fps read")
 
     def test_gen_data_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,0 +1,47 @@
+"""Outputs of the tiny end-to-end config against the committed parity record.
+
+``make_golden.py`` wrote ``golden/tiny.json``; a change that moves these
+outputs on purpose regenerates it with that script and says so.
+"""
+
+import json
+
+import pytest
+
+from make_golden import ARCHS, GOLDEN, golden
+
+LOSS_RTOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def rebuilt():
+    return golden()
+
+
+@pytest.fixture(scope="module")
+def committed():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_record_covers_the_same_runs(rebuilt, committed):
+    assert rebuilt["config"] == committed["config"]
+    assert rebuilt["eval"] == committed["eval"]
+    assert sorted(rebuilt["archs"]) == sorted(committed["archs"]) == sorted(ARCHS)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_eval_log_and_report_are_exact(rebuilt, committed, arch):
+    # JSON turns tuples into lists; compare through one round trip
+    got = json.loads(json.dumps(rebuilt["archs"][arch]))
+    want = committed["archs"][arch]
+    assert got["log"] == want["log"]
+    assert got["report"] == want["report"]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_training_curve(rebuilt, committed, arch):
+    got, want = rebuilt["archs"][arch]["curve"], committed["archs"][arch]["curve"]
+    assert [r["epoch"] for r in got] == [r["epoch"] for r in want]
+    assert [r["val_error"] for r in got] == [r["val_error"] for r in want]
+    for g, w in zip(got, want):
+        assert abs(g["train_loss"] - w["train_loss"]) <= LOSS_RTOL * abs(w["train_loss"])

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pcrobust.sampling import SampleSpec, fps_sample
 
 from conftest import random_cloud
 from model_checks import miniature_max_fd_error
+from oracles import embed_chain
 
 
 def mini_params(seed=0, **overrides):
@@ -36,13 +38,14 @@ class TestNeighborEmbed:
     def test_first_embed_layer_yields_no_input_gradient(self):
         params = mini_params()
         feats, _ = network_input(random_cloud(3, n=20), params, anchors=np.arange(8))
-        # max_axis <- linear(w2) <- relu <- linear(feats, w1, b1)
-        first = neighbor_embed(feats, params)._prev[0]._prev[0]._prev[0]
-        assert first._prev[1:] == (params.embed_w1, params.embed_b1)
-        g_feats, g_w1, g_b1 = first._pullback(np.ones_like(first.data))
-        assert g_feats is None
-        assert g_w1.shape == params.embed_w1.data.shape
-        assert g_b1.shape == params.embed_b1.data.shape
+        # one mlp_max node whose parents are the weights alone: the
+        # features are a constant and get no gradient
+        embed = neighbor_embed(feats, params)
+        weights = (params.embed_w1, params.embed_b1, params.embed_w2, params.embed_b2)
+        assert len(embed._prev) == 4
+        assert all(p is w for p, w in zip(embed._prev, weights))
+        grads = embed._pullback(np.ones_like(embed.data))
+        assert [g.shape for g in grads] == [w.data.shape for w in weights]
 
     def test_identity_sampling_group_of_self(self):
         cloud = random_cloud(0, n=12)
@@ -84,6 +87,127 @@ class TestNeighborEmbed:
     def test_requires_sampler_or_anchors(self):
         with pytest.raises(ValueError):
             network_input(random_cloud(4, n=8), mini_params())
+
+
+def _embed_weights(params):
+    return (params.embed_w1, params.embed_b1, params.embed_w2, params.embed_b2)
+
+
+def _weight_grads(embed, feats, weights, probe):
+    """Gradients of mean(embed(feats) * probe) with respect to the weights."""
+    for w in weights:
+        w.zero_grad()
+    grads = ad.backward(ad.mean(ad.mul(embed(feats, *weights), Tensor(probe))))
+    return [grads[w] for w in weights]
+
+
+def _assert_grads_close(got, want, rtol=1e-12):
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+
+class TestEmbedOp:
+    """``mlp_max`` against the four-op chain it replaced (``oracles.embed_chain``)."""
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_matches_the_four_op_chain(self, batch):
+        params = init_model(np.random.default_rng(batch), n_classes=3)  # README dims
+        feats = np.stack([network_input(random_cloud(10 + i, n=256), params,
+                                        SampleSpec(m=64), np.random.default_rng(i))[0]
+                          for i in range(batch)])
+        weights = _embed_weights(params)
+        ours, chain = ad.mlp_max(feats, *weights), embed_chain(feats, *weights)
+        assert np.array_equal(ours.data, chain.data)
+        probe = np.random.default_rng(7).standard_normal(ours.data.shape)
+        _assert_grads_close(_weight_grads(ad.mlp_max, feats, weights, probe),
+                            _weight_grads(embed_chain, feats, weights, probe))
+
+    def test_duplicate_points_do_not_count_twice(self):
+        rng = np.random.default_rng(3)
+        params = mini_params(seed=3)  # d_model 16
+        weights = _embed_weights(params)
+        distinct = rng.standard_normal((2, 5, 4, 6))
+        # every group holds its rows more than once, so every max ties
+        repeated = distinct[..., [0, 1, 1, 2, 3, 3, 3, 0], :]
+        probe = rng.standard_normal((2, 5, 16))
+        once = _weight_grads(ad.mlp_max, distinct, weights, probe)
+        twice = _weight_grads(ad.mlp_max, repeated, weights, probe)
+        assert np.array_equal(ad.mlp_max(repeated, *weights).data,
+                              ad.mlp_max(distinct, *weights).data)
+        _assert_grads_close(twice, once)
+        _assert_grads_close(twice, _weight_grads(embed_chain, repeated, weights, probe))
+
+    def test_ties_route_to_the_first_slot_only(self):
+        # small integers keep every sum exact. Hidden unit 0 reads input 0
+        # alone and no output reads unit 0, so a group's two rows, which
+        # differ only in input 0, tie on every output with different hidden
+        # values: 1 in slot 0 and 2 in slot 1
+        rng = np.random.default_rng(6)
+        w1 = rng.integers(-2, 3, (6, 5)).astype(float)
+        w1[0], w1[:, 0] = 0.0, 0.0
+        w1[0, 0] = 1.0
+        w2 = rng.integers(-2, 3, (5, 4)).astype(float)
+        w2[0] = 0.0
+        weights = (Tensor(w1, requires_grad=True), Tensor(np.zeros(5), requires_grad=True),
+                   Tensor(w2, requires_grad=True),
+                   Tensor(rng.integers(-2, 3, 4).astype(float), requires_grad=True))
+        feats = np.repeat(rng.integers(-2, 3, (3, 1, 6)).astype(float), 2, axis=1)
+        feats[:, :, 0] = [1.0, 2.0]
+        probe = rng.standard_normal((3, 4))
+        grads = _weight_grads(ad.mlp_max, feats, weights, probe)
+        # d mean(out * probe) / d w2[0] sums slot 0's hidden unit 0, which is 1
+        assert np.abs(grads[2][0] - probe.sum(axis=0) / probe.size).max() <= 1e-15
+        _assert_grads_close(grads, _weight_grads(embed_chain, feats, weights, probe))
+
+    def test_slots_past_127_get_their_gradient(self):
+        # group_k = 130: only slot 129 is nonzero, so with zero biases every
+        # output it raises above 0 is won there and nowhere else
+        rng = np.random.default_rng(4)
+        weights = (Tensor(rng.standard_normal((6, 16)), requires_grad=True),
+                   Tensor(np.zeros(16), requires_grad=True),
+                   Tensor(rng.standard_normal((16, 8)), requires_grad=True),
+                   Tensor(np.zeros(8), requires_grad=True))
+        feats = np.zeros((2, 3, 130, 6))
+        feats[..., 129, :] = rng.standard_normal((2, 3, 6))
+        chain = embed_chain(feats, *weights)
+        assert (chain.data > 0).any()
+        probe = rng.standard_normal(chain.data.shape)
+        grads = _weight_grads(ad.mlp_max, feats, weights, probe)
+        assert np.abs(grads[0]).max() > 0
+        _assert_grads_close(grads, _weight_grads(embed_chain, feats, weights, probe))
+
+    def test_minus_inf_before_the_relu_raises(self):
+        params = mini_params(seed=5)
+        w1 = np.array(params.embed_w1.data)
+        w1[:, 0] = -1e300  # the first hidden unit overflows to -inf, which relu clips
+        weights = (Tensor(w1, requires_grad=True),) + _embed_weights(params)[1:]
+        feats = np.full((1, 2, 4, 6), 1e10)
+        for embed in (embed_chain, ad.mlp_max):
+            with pytest.raises(ad.NonFiniteError):
+                embed(feats, *weights)
+        with pytest.raises(ad.NonFiniteError):
+            ad.mlp_max(np.full((1, 2, 4, 6), np.nan), *weights)
+
+    def test_graph_keeps_no_group_by_width_array(self):
+        # batch 4 at the README defaults: one (4, 64, 8, 64) float64 array is 1 MiB
+        params = init_model(np.random.default_rng(0), n_classes=3)
+        feats = np.stack([network_input(random_cloud(i, n=256), params,
+                                        SampleSpec(m=64), np.random.default_rng(i))[0]
+                          for i in range(4)])
+        one_array = 4 * 64 * 8 * 64 * 8
+
+        def retained(embed):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = embed()
+                return tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert retained(lambda: neighbor_embed(feats, params)) < one_array
+        # the measure sees the chain's graph
+        assert retained(lambda: embed_chain(feats, *_embed_weights(params))) > 2 * one_array
 
 
 class TestSelfAttentionLayer:

@@ -28,6 +28,7 @@ from pcrobust.geometry import PointCloud
 from pcrobust.losses import LossConfig, attention_sem_loss
 from pcrobust.model import (
     BaselineParams,
+    TooFewPointsError,
     forward,
     init_baseline,
     init_model,
@@ -189,6 +190,22 @@ class TestTrain:
             assert (err.value.index, err.value.available) == (index, 6)
             assert "m_anchors = 8 is infeasible for sampler fps" in str(err.value)
 
+    def test_a_cloud_smaller_than_its_groups_raises_before_any_step(self, monkeypatch):
+        module = importlib.import_module("pcrobust.train")
+        monkeypatch.setattr(module, "minibatch_loss",
+                            lambda *args: pytest.fail("a step started"))
+        dataset = tiny_dataset(per_class=2, points=40)
+        with pytest.raises(TooFewPointsError) as err:
+            train(dataset, tiny_config(group_k=50))
+        assert str(err.value) == ("dataset cloud 0: 40 points, fewer than the 50 that "
+                                  "group_k = 50 and sampler fps read")
+        assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
+        # a DAS sampler's density score reads k + 1 neighbours of every point
+        with pytest.raises(TooFewPointsError) as err:
+            train(dataset, tiny_config(sampler=SampleSpec(m=8, k=45, variant="das-l0")))
+        assert str(err.value) == ("dataset cloud 0: 40 points, fewer than the 46 that "
+                                  "group_k = 4 and sampler das-l0 with k = 45 read")
+
     def test_das_training_runs(self):
         dataset = tiny_dataset(per_class=3, points=64)
         cfg = tiny_config(sampler=SampleSpec(m=8, k=3, variant="das-l0"), epochs=1)
@@ -197,6 +214,21 @@ class TestTrain:
 
 
 class TestEvaluate:
+    def test_a_variant_smaller_than_group_k_raises_before_the_clouds_first_prediction(
+            self, monkeypatch):
+        module = importlib.import_module("pcrobust.evaluate")
+        monkeypatch.setattr(module, "predict_streams",
+                            lambda *args: pytest.fail("a prediction was made"))
+        params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8, d_model=8,
+                            d_attn=4, group_k=16, n_layers=1)
+        dataset = tiny_dataset(per_class=1, points=40)
+        # drop-global keeps 16 of 40 points at severity 4 and 10 at severity 5
+        with pytest.raises(TooFewPointsError) as err:
+            evaluate(params, dataset, SampleSpec(m=8, variant="fps"), kinds=("drop-global",))
+        assert str(err.value) == ("cloud 0, drop-global severity 5: 10 points, fewer than "
+                                  "the 16 that group_k = 16 and sampler fps read")
+        assert (err.value.index, err.value.n, err.value.group_k) == (0, 10, 16)
+
     def test_perfect_stub_all_zero(self, stub_predict):
         dataset = tiny_dataset(per_class=3, points=64)
         stub_predict(lambda c: c.label)
