@@ -15,7 +15,6 @@ from .geometry import NeighborTable, PointCloud, normalize_unit_sphere
 from .losses import (
     LossConfig,
     attention_sem_loss,
-    channel_sem_loss,
     row_entropy,
     smoothed_cross_entropy,
     total_loss,
@@ -75,7 +74,6 @@ __all__ = [
     "apply_corruption",
     "attention_sem_loss",
     "backward",
-    "channel_sem_loss",
     "corruption_suite",
     "das_sample",
     "density_profile",

@@ -204,17 +204,14 @@ def max_axis(a: Tensor, axis: int) -> Tensor:
     return _result(a.data.max(axis=axis), (a,), pullback)
 
 
-def softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
-    """Softmax of x/tau over the last axis, with max-subtraction for stability."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    z = (x.data - x.data.max(axis=-1, keepdims=True)) / tau
-    e = np.exp(z)
+def softmax_rows(x: Tensor) -> Tensor:
+    """Softmax over the last axis, with max-subtraction for stability."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
     def pullback(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot) / tau,)
+        return (y * (g - dot),)
 
     return _result(y, (x,), pullback)
 

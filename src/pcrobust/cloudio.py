@@ -20,6 +20,7 @@ import numpy as np
 from .geometry import PointCloud
 
 MAGIC = b"RPC1"
+LABEL_MAX = 2**32 - 1  # the RPC1 label is a u32
 
 
 class FormatError(ValueError):
@@ -87,8 +88,8 @@ def write_xyz(cloud: PointCloud, path) -> None:
 def read_xyz(path) -> PointCloud:
     """Raises CloudFormatError for a file that is not UTF-8 text, naming the
     line for a line without 3 fields, a non-numeric or non-finite coordinate,
-    a label line without exactly one integer, or a second label line, and
-    for a file without points."""
+    a label line without exactly one integer in 0..LABEL_MAX, or a second
+    label line, and for a file without points."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -106,6 +107,8 @@ def read_xyz(path) -> PointCloud:
                     if label is not None:
                         raise ValueError(f"second label line (label {label} already set)")
                     label = int(fields[1])
+                    if not 0 <= label <= LABEL_MAX:
+                        raise ValueError(f"label {label} is outside 0..{LABEL_MAX}")
             elif line:
                 parts = line.split()
                 if len(parts) != 3:
@@ -122,7 +125,11 @@ def read_xyz(path) -> PointCloud:
 
 
 def write_binary(cloud: PointCloud, path) -> None:
+    """Raises ValueError, before writing, for a label outside 0..LABEL_MAX."""
     has_label = cloud.label is not None
+    if has_label and not 0 <= cloud.label <= LABEL_MAX:
+        raise ValueError(f"{path}: label {cloud.label} does not fit RPC1's "
+                         f"u32 label field (0..{LABEL_MAX})")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", cloud.n, 1 if has_label else 0))

@@ -59,7 +59,6 @@ KEYS = {
     "n_layers": ("train", "n_layers", int),
     "lambda": ("train", "loss.sem_weight", _float),
     "tau": ("train", "loss.tau", _float),
-    "sem_mode": ("train", "loss.sem_mode", str),
     "sem_layers": ("train", "loss.sem_layers", _ints),
     "smoothing_eps": ("train", "loss.smoothing_eps", _float),
     "arch": ("train", "arch", str),
@@ -72,7 +71,6 @@ KEYS = {
     "epochs": ("train", "epochs", int),
     "batch_size": ("train", "batch_size", int),
     "lr": ("train", "lr", _float),
-    "optimizer": ("train", "optimizer", str),
     "seed": ("train", "seed", int),
     "val_fraction": ("train", "val_fraction", _float),
 }

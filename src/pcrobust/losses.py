@@ -1,22 +1,19 @@
-"""Training objectives: smoothed cross-entropy, the self-entropy terms that
-sharpen attention maps (row-wise) or point-feature columns (channel-wise),
-and their weighted combination.
+"""Training objectives: smoothed cross-entropy, the self-entropy term that
+sharpens attention maps row by row, and their weighted combination.
 
-Both entropy terms take an extra temperature softmax of their own; the
-model's attention softmax (temperature 1) is a separate computation on the
-same pre-softmax scores.
+The entropy term takes a temperature softmax of its own; the model's
+attention softmax (temperature 1) is a separate computation on the same
+pre-softmax scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-SEM_MODES = ("attention", "channel")
 
 
 @dataclass(frozen=True)
@@ -26,28 +23,29 @@ class LossConfig:
     sem_weight: weight of the entropy term in the joint loss (lambda);
         0 turns the term off
     tau: temperature of the entropy-term softmax
-    sem_mode: "attention" (row-wise on attention scores) or "channel"
-        (column-wise on point features)
-    sem_layers: 1-based attention layers the row-wise term averages over;
-        None means every layer the model has
+    sem_layers: 1-based attention layers the term averages over; None
+        means every layer the model has
     smoothing_eps: label-smoothing mass spread over the wrong classes
+    sem_mode: not a field; SEM acts on attention maps only, so only
+        "attention" is accepted (perfbench/run.py still passes it)
     """
 
     sem_weight: float = 0.1
     tau: float = 1.0
-    sem_mode: str = "attention"
     sem_layers: tuple | None = None
     smoothing_eps: float = 0.2
+    sem_mode: InitVar[str] = "attention"
 
-    def __post_init__(self):
+    def __post_init__(self, sem_mode):
+        if sem_mode != "attention":
+            raise ValueError(f"sem_mode {sem_mode!r} was removed: SEM acts on attention "
+                             "maps only; sem_weight 0 turns SEM off")
         if self.sem_weight < 0:
             raise ValueError("sem_weight must be >= 0")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.sem_mode not in SEM_MODES:
-            raise ValueError(f"unknown sem_mode {self.sem_mode!r}; sem_weight 0 turns SEM off")
-        if self.sem_mode == "attention" and self.sem_layers == ():
-            raise ValueError("sem_layers must be nonempty in attention mode")
+        if self.sem_layers == ():
+            raise ValueError("sem_layers must be nonempty")
         if not 0 <= self.smoothing_eps < 1:
             raise ValueError("smoothing_eps must be in [0, 1)")
         if self.sem_layers is not None:
@@ -91,18 +89,6 @@ def attention_sem_loss(maps, sem_layers=None, tau: float = 1.0) -> Tensor:
     for term in per_layer[1:]:
         total = ad.add(total, term)
     return ad.mul_scalar(total, 1.0 / len(layers))
-
-
-def channel_sem_loss(features, tau: float = 1.0) -> Tensor:
-    """Mean column entropy of an (M, d) point-feature map or a (B, M, d) stack.
-
-    Each channel's M point activations are softmaxed at temperature tau;
-    the Shannon entropies are averaged over channels (and clouds).
-    """
-    f = _as_tensor(features)
-    if f.data.ndim < 2:
-        raise ValueError(f"expected a 2-D feature map, got {f.data.shape}")
-    return ad.mean(_row_entropies(ad.transpose(f), tau))
 
 
 def smoothed_cross_entropy(logits, label, eps: float = 0.0) -> Tensor:

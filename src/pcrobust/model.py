@@ -112,13 +112,11 @@ class BaselineParams(_Params):
 
 @dataclass
 class ForwardTrace:
-    """One forward pass: logits, pre-softmax attention maps per layer, and
-    the point-feature map that feeds the global max pool. A batched pass
-    puts the batch axes in front of each: (B, C), (B, M, M) and (B, M, D)."""
+    """One forward pass: logits and pre-softmax attention maps per layer. A
+    batched pass puts the batch axes in front of each: (B, C) and (B, M, M)."""
 
     logits: Tensor
     attention_maps: list
-    point_features: Tensor
     anchors: np.ndarray | None = None
 
     @property
@@ -277,7 +275,7 @@ def self_attention_layer(f_in: Tensor, layer: AttentionLayerParams, d_attn: int)
     k = ad.matmul(f_in, layer.w_k)
     v = ad.matmul(f_in, layer.w_v)
     scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_attn))
-    attended = ad.matmul(ad.softmax_rows(scores, 1.0), v)
+    attended = ad.matmul(ad.softmax_rows(scores), v)
     return ad.add(attended, f_in), scores
 
 
@@ -293,7 +291,7 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
     if isinstance(params, BaselineParams):
         h = ad.relu(ad.linear(Tensor(inputs), params.point_w1, params.point_b1))
         point_feats = ad.linear(h, params.point_w2, params.point_b2)
-        return ForwardTrace(_pool_head(point_feats, params), [], point_feats)
+        return ForwardTrace(_pool_head(point_feats, params), [])
     f = neighbor_embed(inputs, params)
     stage_outputs, score_maps = [], []
     for layer in params.layers:
@@ -301,7 +299,7 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
         stage_outputs.append(f)
         score_maps.append(scores)
     f_o = ad.matmul(ad.concat(stage_outputs), params.w_o)
-    return ForwardTrace(_pool_head(f_o, params), score_maps, f_o)
+    return ForwardTrace(_pool_head(f_o, params), score_maps)
 
 
 def forward(

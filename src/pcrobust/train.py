@@ -4,7 +4,7 @@ The loop is a single sequential pass (deterministic per seed): shuffled
 minibatches, each cloud's network input (``network_input``: anchors drawn
 and grouped, or the baseline's points) in batch order, then one graph per
 minibatch over the stacked inputs, mean batch loss = classification +
-weighted self-entropy term, one optimizer step per batch. A cloud keeps
+weighted self-entropy term, one Adam step per batch. A cloud keeps
 its neighbour table, density weights and FPS anchors, so every epoch and
 every validation pass reuses them. Before the first step every cloud is
 checked for enough points to group and at least m anchor candidates.
@@ -15,20 +15,14 @@ best-by-validation parameters are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError
 from .data import check_labeled, derive_seed
-from .losses import (
-    LossConfig,
-    attention_sem_loss,
-    channel_sem_loss,
-    smoothed_cross_entropy,
-    total_loss,
-)
+from .losses import LossConfig, attention_sem_loss, smoothed_cross_entropy, total_loss
 from .model import (BaselineParams, ModelParams, TooFewPointsError, init_baseline,
                     init_model, input_width, network, network_input)
 from .sampling import InfeasibleSampleError, SampleSpec, anchor_candidates
@@ -67,15 +61,16 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 16
     lr: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
     val_fraction: float = 0.2
+    # not a field: Adam is the one optimizer; perfbench/run.py still passes "adam"
+    optimizer: InitVar[str] = "adam"
 
-    def __post_init__(self):
+    def __post_init__(self, optimizer):
+        if optimizer != "adam":
+            raise ValueError(f"optimizer {optimizer!r} was removed: training uses Adam")
         if self.arch not in ("attention", "baseline"):
             raise ValueError(f"unknown arch {self.arch!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if min(self.epochs, self.batch_size) < 1 or self.lr <= 0:
             raise ValueError("epochs, batch_size, lr must be positive")
         if min(self.d_model, self.d_attn, self.group_k, self.n_layers) < 1:
@@ -84,11 +79,11 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if not 0 <= self.val_fraction < 1:
             raise ValueError("val_fraction must be in [0, 1)")
-        if self.loss.sem_weight > 0 and self.loss.sem_mode == "attention":
+        if self.loss.sem_weight > 0:
             n = self.n_layers if self.arch == "attention" else 0
             bad = [l for l in self.loss.sem_layers or () if not 1 <= l <= n]
             if bad or not n:
-                raise ValueError(f"loss.sem_mode 'attention' reads sem_layers {bad or 'all'}, "
+                raise ValueError(f"loss.sem_weight > 0 reads sem_layers {bad or 'all'}, "
                                  f"but arch {self.arch!r} has {n} attention layers")
 
 
@@ -125,17 +120,6 @@ class Adam:
             p.data -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
-class SGD:
-    def __init__(self, tensors, lr):
-        self.tensors = list(tensors)
-        self.lr = lr
-
-    def step(self):
-        for p in self.tensors:
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
-
-
 def _stack_inputs(clouds, params, sampler, rngs) -> np.ndarray:
     """``network_input`` of a list of clouds as one batch, anchors drawn per
     cloud in order."""
@@ -150,10 +134,7 @@ def minibatch_loss(clouds, params, config, rngs):
     ce = smoothed_cross_entropy(trace.logits, [c.label for c in clouds], cfg.smoothing_eps)
     if cfg.sem_weight == 0.0:
         return ce
-    if cfg.sem_mode == "attention":
-        sem = attention_sem_loss(trace.attention_maps, cfg.sem_layers, cfg.tau)
-    else:
-        sem = channel_sem_loss(trace.point_features, cfg.tau)
+    sem = attention_sem_loss(trace.attention_maps, cfg.sem_layers, cfg.tau)
     return total_loss(ce, sem, cfg.sem_weight)
 
 
@@ -217,8 +198,7 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     if train_idx.size == 0:
         raise ValueError("validation split left no training clouds")
 
-    opt_cls = Adam if config.optimizer == "adam" else SGD
-    opt = opt_cls(params.tensors(), lr=config.lr)
+    opt = Adam(params.tensors(), lr=config.lr)
     result = TrainResult(params=params, sampler=config.sampler)
     frozen = params.no_grad()  # the same arrays, which the optimizer updates
 

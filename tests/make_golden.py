@@ -7,15 +7,15 @@ baseline:
   ``init_model``/``init_baseline`` weights on the test split of the tiny
   end-to-end config (``test_cli.TINY_CONFIG``);
 * the training curve of that config, with the sampler (or the arch)
-  swapped in.
+  swapped in, and the sha256 of the checkpoint that training returns;
+* the fingerprint of the numpy build and CPU the record was made on.
 
-``test_golden.py`` rebuilds it with ``golden()`` and compares. A change
-that moves outputs on purpose regenerates the file:
+``test_golden.py`` rebuilds it with ``golden()`` and compares. A checkpoint
+digest depends on the BLAS kernels, so it is compared only where the
+fingerprint matches. A change that moves outputs on purpose regenerates
+the file:
 
     PYTHONPATH=src python tests/make_golden.py
-
-and prints each trained checkpoint's sha256, which depends on the BLAS
-kernels and so stays out of the committed file.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -81,30 +82,45 @@ def _trained(arch: str):
     return train(gen_dataset(train_spec), build_train_config(cfg))
 
 
+def _train_record(arch: str) -> dict:
+    result = _trained(arch)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(path, result.params, result.sampler)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"curve": result.curve, "checkpoint_sha256": digest}
+
+
+def fingerprint() -> dict:
+    """What float results depend on beyond the code: the numpy version, its
+    BLAS build (without the build machine's directories), the CPU
+    architecture and the digest of one seeded BLAS product, which tells
+    apart the kernels a dynamic-arch BLAS picks at run time."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    a, b = np.random.default_rng(0).standard_normal((2, 64, 64))
+    return {"numpy": np.__version__,
+            "blas": {k: v for k, v in blas.items() if not k.endswith("directory")},
+            "machine": platform.machine(),
+            "matmul_sha256": hashlib.sha256((a @ b).tobytes()).hexdigest()}
+
+
 def golden() -> dict:
     return {
         "config": TINY_CONFIG,
         "eval": {"kinds": list(KINDS), "severities": list(SEVERITIES),
                  "eval_seeds": list(EVAL_SEEDS), "weights_seed": WEIGHTS_SEED},
-        "archs": {arch: {**_eval_record(arch), "curve": _trained(arch).curve}
-                  for arch in ARCHS},
+        "fingerprint": fingerprint(),
+        "archs": {arch: {**_eval_record(arch), **_train_record(arch)} for arch in ARCHS},
     }
-
-
-def checkpoint_sha256(arch: str) -> str:
-    result = _trained(arch)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.ckpt"
-        save_checkpoint(path, result.params, result.sampler)
-        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main() -> int:
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden(), indent=1) + "\n")
+    record = golden()
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
     for arch in ARCHS:
-        print(f"{arch}: checkpoint sha256 {checkpoint_sha256(arch)}")
+        print(f"{arch}: checkpoint sha256 {record['archs'][arch]['checkpoint_sha256']}")
     return 0
 
 

@@ -72,16 +72,6 @@ def brute_entropy(values, tau):
     return -sum(p * math.log(p) for p in probs if p > 0)
 
 
-def brute_channel_entropy_mean(matrix, tau):
-    """Mean over columns of the entropy of each column's softmax."""
-    rows = len(matrix)
-    cols = len(matrix[0])
-    total = 0.0
-    for c in range(cols):
-        total += brute_entropy([matrix[r][c] for r in range(rows)], tau)
-    return total / cols
-
-
 def brute_smoothed_ce(logits, label, eps):
     n = len(logits)
     m = max(logits)
@@ -105,12 +95,7 @@ def per_cloud_loss(clouds, params, config, rng):
     """The minibatch loss as a sum of one graph per cloud over the batch size,
     anchors drawn from ``rng`` cloud by cloud."""
     from pcrobust import autodiff as ad
-    from pcrobust.losses import (
-        attention_sem_loss,
-        channel_sem_loss,
-        smoothed_cross_entropy,
-        total_loss,
-    )
+    from pcrobust.losses import attention_sem_loss, smoothed_cross_entropy, total_loss
     from pcrobust.model import forward
 
     loss_cfg = config.loss
@@ -119,11 +104,7 @@ def per_cloud_loss(clouds, params, config, rng):
         trace = forward(cloud, params, config.sampler, rng)
         loss = smoothed_cross_entropy(trace.logits, cloud.label, loss_cfg.smoothing_eps)
         if loss_cfg.sem_weight != 0.0:
-            if loss_cfg.sem_mode == "attention":
-                sem = attention_sem_loss(trace.attention_maps, loss_cfg.sem_layers,
-                                         loss_cfg.tau)
-            else:
-                sem = channel_sem_loss(trace.point_features, loss_cfg.tau)
+            sem = attention_sem_loss(trace.attention_maps, loss_cfg.sem_layers, loss_cfg.tau)
             loss = total_loss(loss, sem, loss_cfg.sem_weight)
         total = loss if total is None else ad.add(total, loss)
     return ad.mul_scalar(total, 1.0 / len(clouds))

@@ -492,10 +492,13 @@ class TestConfigParsing:
             ("d_attn = 0\n", 1, "d_attn"),
             ("group_k = 0\n", 1, "group_k"),
             ("lambda = 0\nn_layers = 0\n", 2, "n_layers"),
+            ("seed = 1\nsem_mode = channel\n", 2, "sem_mode"),
+            ("optimizer = sgd\n", 1, "optimizer"),
         ],
         ids=["int", "float", "list", "repeated", "grid-value", "unknown", "points-0",
              "baseline-attention-sem", "nan", "inf", "minus-inf", "seed-negative",
-             "data-seed-negative", "d-model-0", "d-attn-0", "group-k-0", "n-layers-0"],
+             "data-seed-negative", "d-model-0", "d-attn-0", "group-k-0", "n-layers-0",
+             "removed-sem-mode", "removed-optimizer"],
     )
     def test_malformed_config_names_file_line_and_key(self, tmp_path, text, line, key):
         path = tmp_path / "run.cfg"
@@ -545,8 +548,9 @@ class TestConfigParsing:
         tc = build_train_config({"sem_layers": "6,5", "n_layers": "6"})
         assert (tc.n_layers, tc.loss.sem_layers) == (6, (5, 6))
         assert build_train_config({"arch": "baseline", "lambda": "0"}).arch == "baseline"
-        tc = build_train_config({"arch": "baseline", "sem_mode": "channel"})
-        assert tc.loss.sem_mode == "channel"
+        # the default lambda 0.1 needs attention layers, which a baseline lacks
+        with pytest.raises(ConfigError, match="^arch = 'baseline': loss.sem_weight > 0"):
+            build_train_config({"arch": "baseline"})
 
     def test_public_names_resolve_once(self):
         import pcrobust

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,9 +61,11 @@ class TestXyzFormat:
             ("0 0 0\n1 1e400 2\n", "line 2: non-finite coordinate"),
             ("# label 1 2\n0 0 0\n", "line 1: label line needs 1 value, got 2"),
             ("# label 1\n0 0 0\n# label 4\n", "line 3: second label line"),
+            ("0 0 0\n# label -1\n", "line 2: label -1 is outside 0..4294967295"),
+            ("# label 4294967296\n0 0 0\n", "line 1: label 4294967296 is outside"),
         ],
         ids=["fields", "non-numeric", "label", "empty", "nan", "overflow",
-             "label-fields", "label-twice"],
+             "label-fields", "label-twice", "label-negative", "label-too-large"],
     )
     def test_error_names_path_and_line(self, tmp_path, text, reason):
         path = tmp_path / "bad.xyz"
@@ -104,6 +108,13 @@ class TestBinaryFormat:
         raw = path.read_bytes()
         assert raw[:4] == b"RPC1"
         assert len(raw) == 4 + 4 + 4 + 12 + 4
+
+    @pytest.mark.parametrize("label", [-1, 2**32])
+    def test_label_outside_u32_names_path_and_label(self, tmp_path, label):
+        path = tmp_path / "bad.rpc"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: label {label} "):
+            cloudio.write_binary(PointCloud([[0.0, 0.0, 0.0]], label=label), path)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.rpc"

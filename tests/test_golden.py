@@ -1,7 +1,9 @@
 """Outputs of the tiny end-to-end config against the committed parity record.
 
 ``make_golden.py`` wrote ``golden/tiny.json``; a change that moves these
-outputs on purpose regenerates it with that script and says so.
+outputs on purpose regenerates it with that script and says so. Checkpoint
+digests are compared only on a numpy build and CPU with the record's
+fingerprint, since float results need not be bitwise across BLAS kernels.
 """
 
 import json
@@ -27,6 +29,14 @@ def test_record_covers_the_same_runs(rebuilt, committed):
     assert rebuilt["config"] == committed["config"]
     assert rebuilt["eval"] == committed["eval"]
     assert sorted(rebuilt["archs"]) == sorted(committed["archs"]) == sorted(ARCHS)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_checkpoint_digest(rebuilt, committed, arch):
+    if rebuilt["fingerprint"] != committed["fingerprint"]:
+        pytest.skip("numpy build or CPU differs from the record's fingerprint")
+    got = rebuilt["archs"][arch]["checkpoint_sha256"]
+    assert got == committed["archs"][arch]["checkpoint_sha256"]
 
 
 @pytest.mark.parametrize("arch", ARCHS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,13 @@ from pcrobust.autodiff import Tensor, backward, finite_diff_check
 from pcrobust.losses import (
     LossConfig,
     attention_sem_loss,
-    channel_sem_loss,
     row_entropy,
     smoothed_cross_entropy,
     total_loss,
 )
 from pcrobust.model import AttentionLayerParams, self_attention_layer
 
-from oracles import brute_channel_entropy_mean, brute_entropy, brute_smoothed_ce
+from oracles import brute_entropy, brute_smoothed_ce
 
 
 class TestRowEntropy:
@@ -108,34 +108,6 @@ class TestAttentionSemLoss:
         assert finite_diff_check(f, x) <= 1e-4
 
 
-class TestChannelSemLoss:
-    def test_constant_columns(self):
-        m = 5
-        f = np.tile(np.arange(3.0), (m, 1))  # each column constant
-        assert channel_sem_loss(f, 1.0).item() == pytest.approx(
-            math.log(m), abs=1e-12
-        )
-
-    def test_dominant_entries(self):
-        f = np.zeros((6, 3))
-        f[2, 0] = f[0, 1] = f[5, 2] = 1000.0
-        assert channel_sem_loss(f, 1.0).item() <= 1e-9
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        f = rng.standard_normal((4, 3)) * 2
-        tau = float(rng.uniform(0.5, 2.0))
-        assert channel_sem_loss(f, tau).item() == pytest.approx(
-            brute_channel_entropy_mean(f.tolist(), tau), abs=1e-10
-        )
-
-    def test_gradient(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-        assert finite_diff_check(lambda t: channel_sem_loss(t, 1.2), x) <= 1e-4
-
-
 class TestSmoothedCrossEntropy:
     def test_eps_zero_is_plain_ce(self):
         rng = np.random.default_rng(0)
@@ -201,14 +173,10 @@ class TestBatchedLosses:
     def test_sem_losses_average_over_the_batch(self):
         rng = np.random.default_rng(5)
         maps = [rng.standard_normal((3, 6, 6)) for _ in range(2)]
-        feats = rng.standard_normal((3, 6, 4))
         per_attn = [attention_sem_loss([m[b] for m in maps], (1, 2), 0.9).item()
                     for b in range(3)]
-        per_chan = [channel_sem_loss(feats[b], 1.1).item() for b in range(3)]
         assert attention_sem_loss(maps, (1, 2), 0.9).item() == pytest.approx(
             np.mean(per_attn), abs=1e-14)
-        assert channel_sem_loss(feats, 1.1).item() == pytest.approx(
-            np.mean(per_chan), abs=1e-14)
 
 
 class TestTotalLoss:
@@ -236,6 +204,12 @@ class TestTotalLoss:
             LossConfig(sem_mode="attention", sem_layers=())
         with pytest.raises(ValueError, match="sem_weight 0 turns SEM off"):
             LossConfig(sem_mode="off")
+
+    def test_channel_sem_is_removed(self):
+        with pytest.raises(ValueError, match="sem_mode 'channel' was removed"):
+            LossConfig(sem_mode="channel")
+        assert "sem_mode" not in {f.name for f in dataclasses.fields(LossConfig)}
+        assert LossConfig(sem_mode="attention") == LossConfig()
 
 
 class TestDescentSanity:

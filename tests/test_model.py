@@ -249,7 +249,7 @@ class TestSelfAttentionLayer:
             w_v=Tensor(rng.standard_normal((d, d)), requires_grad=True),
         )
         _, scores = self_attention_layer(f_in, layer, d_attn)
-        attn = ad.softmax_rows(scores, 1.0)
+        attn = ad.softmax_rows(scores)
         assert np.abs(attn.data.sum(axis=1) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("which", ["w_q", "w_k", "w_v"])
@@ -316,9 +316,8 @@ class TestForward:
         trace = forward(cloud, params, SampleSpec(m=8, variant="fps"))
         assert len(trace.attention_maps) == 4
         assert all(s.data.shape == (8, 8) for s in trace.attention_maps)
-        assert trace.point_features.data.shape == (8, 16)
         assert trace.logits.data.shape == (3,)
-        assert np.isfinite(trace.point_features.data).all()
+        assert np.isfinite(trace.logits.data).all()
 
     def test_stochastic_sampler_path(self):
         cloud = random_cloud(8, n=32)
@@ -375,10 +374,13 @@ class TestBaseline:
         params = init_baseline(np.random.default_rng(2), n_classes=2, hidden=4, d_feat=4)
         cloud = PointCloud([[0.1, 0.2, 0.3]])
         trace = forward(cloud, params)
-        assert np.array_equal(
-            trace.point_features.data[0],
-            np.max(trace.point_features.data, axis=0),
-        )
+        # the pool of one point's features is those features
+        h = np.maximum(cloud.points @ params.point_w1.data + params.point_b1.data, 0.0)
+        feats = (h @ params.point_w2.data + params.point_b2.data)[0]
+        h = np.maximum(feats @ params.head_w1.data + params.head_b1.data, 0.0)
+        np.testing.assert_allclose(trace.logits.data,
+                                   h @ params.head_w2.data + params.head_b2.data,
+                                   rtol=1e-12, atol=0)
         assert trace.attention_maps == []
 
     def test_gradient(self):

@@ -41,7 +41,7 @@ from pcrobust.sampling import (
     das_sample,
     density_profile,
 )
-from pcrobust.train import (SGD, Adam, InfeasibleAnchorsError, TrainConfig, TrainingDiverged,
+from pcrobust.train import (Adam, InfeasibleAnchorsError, TrainConfig, TrainingDiverged,
                             minibatch_loss, train)
 
 from oracles import keeping_backward, per_cloud_evaluate, per_cloud_loss
@@ -137,9 +137,15 @@ class TestTrain:
 
     def test_divergence_raises(self):
         dataset = tiny_dataset(per_class=4)
-        cfg = tiny_config(optimizer="sgd", lr=1e120, epochs=1, batch_size=4)
+        cfg = tiny_config(lr=1e120, epochs=1, batch_size=4)
         with pytest.raises(TrainingDiverged):
             train(dataset, cfg)
+
+    def test_sgd_is_removed(self):
+        with pytest.raises(ValueError, match="optimizer 'sgd' was removed"):
+            TrainConfig(optimizer="sgd")
+        assert "optimizer" not in {f.name for f in dataclasses.fields(TrainConfig)}
+        assert TrainConfig(optimizer="adam") == TrainConfig()
 
     def test_curve_and_best_epoch(self):
         dataset = tiny_dataset(per_class=6)
@@ -556,9 +562,9 @@ class TestBatchedPaths:
         "arch, variant, loss",
         [
             ("attention", "das-l0", LossConfig(sem_weight=0.1, sem_layers=(1, 2))),
-            ("attention", "fps", LossConfig(sem_weight=0.3, sem_mode="channel")),
+            ("attention", "fps", LossConfig(sem_weight=0.3)),
             ("attention", "random", LossConfig(sem_weight=0.0)),
-            ("baseline", "das-l0", LossConfig(sem_weight=0.2, sem_mode="channel")),
+            ("baseline", "das-l0", LossConfig(sem_weight=0.0)),
         ],
     )
     def test_minibatch_loss_matches_per_cloud_oracle(self, arch, variant, loss):
@@ -580,7 +586,7 @@ class TestBatchedPaths:
 
     def test_train_step_matches_per_cloud_oracle(self):
         clouds = tiny_dataset(per_class=4, points=64)
-        config = tiny_config(sampler=SampleSpec(m=8, k=3), optimizer="sgd", lr=0.1,
+        config = tiny_config(sampler=SampleSpec(m=8, k=3), lr=0.1,
                              epochs=1, batch_size=len(clouds), val_fraction=0.0,
                              loss=LossConfig(sem_weight=0.1, sem_layers=(1, 2)))
         trained = train(clouds, config).params
@@ -591,7 +597,7 @@ class TestBatchedPaths:
         order = rng.permutation(len(clouds))
         batch = [clouds[i] for i in order[rng.permutation(len(clouds))]]
         backward(per_cloud_loss(batch, params, config, rng))
-        SGD(params.tensors(), lr=config.lr).step()
+        Adam(params.tensors(), lr=config.lr).step()
         for got, want in zip(trained.tensors(), params.tensors()):
             assert np.abs(got.data - want.data).max() <= 1e-12
 
@@ -780,15 +786,13 @@ class TestGradientRelease:
 
 class TestBaselineArch:
     def test_attention_sem_is_rejected(self):
-        with pytest.raises(ValueError, match="sem_mode 'attention'.*arch 'baseline'"):
+        with pytest.raises(ValueError, match="sem_weight > 0.*arch 'baseline'"):
             TrainConfig(arch="baseline")
-        TrainConfig(arch="baseline", loss=LossConfig(sem_mode="channel"))
         TrainConfig(arch="baseline", loss=LossConfig(sem_weight=0.0))
 
-    def test_trains_and_evaluates_with_channel_sem(self):
+    def test_trains_and_evaluates_at_zero_lambda(self):
         dataset = tiny_dataset(per_class=4)
-        cfg = tiny_config(arch="baseline", epochs=2,
-                          loss=LossConfig(sem_weight=0.1, sem_mode="channel"))
+        cfg = tiny_config(arch="baseline", epochs=2, loss=LossConfig(sem_weight=0.0))
         result = train(dataset, cfg)
         assert isinstance(result.params, BaselineParams)
         assert all(np.isfinite(row["train_loss"]) for row in result.curve)
