@@ -33,9 +33,9 @@ from .evaluate import (
     write_severity_curves_csv,
 )
 from .geometry import PointCloud
-from .model import TooFewPointsError, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
-from .train import InfeasibleAnchorsError, train
+from .train import train
 
 
 def cmd_sample(args) -> int:
@@ -99,41 +99,26 @@ def cmd_gen_data(args) -> int:
 
 
 def load_split(data_dir, split: str):
-    """The files of one split and their clouds, in the same order; ValueError
-    names the first file without a label."""
+    """The clouds of one split: its ``.rpc`` files, then its ``.xyz`` files,
+    each in name order."""
     split_dir = Path(data_dir) / split
     if not split_dir.is_dir():
         split_dir = Path(data_dir)
     files = sorted(split_dir.glob("*.rpc")) + sorted(split_dir.glob("*.xyz"))
     if not files:
         raise FileNotFoundError(f"no cloud files under {split_dir}")
-    clouds = [cloudio.read_cloud(f) for f in files]
-    for f, cloud in zip(files, clouds):
-        if cloud.label is None:
-            raise ValueError(f"{f}: no label; every cloud needs one")
-    return files, clouds
+    return [cloudio.read_cloud(f) for f in files]
 
 
 def cmd_train(args) -> int:
     cfg = parse_flat_file(args.config)
     tc = build_train_config(cfg)
     if args.data:
-        files, dataset = load_split(args.data, "train")
+        dataset = load_split(args.data, "train")
     else:
         train_spec, _ = build_dataset_specs(cfg)
         dataset = gen_dataset(train_spec)
-    try:
-        result = train(dataset, tc)
-    except InfeasibleAnchorsError as err:
-        if not args.data:
-            raise
-        raise InfeasibleAnchorsError(err.requested, err.available, err.index, err.sampler,
-                                     path=files[err.index]) from None
-    except TooFewPointsError as err:
-        if not args.data:
-            raise
-        raise TooFewPointsError(str(files[err.index]), err.index, err.n, err.group_k,
-                                err.sampler) from None
+    result = train(dataset, tc)
     save_checkpoint(args.out, result.params, result.sampler)
     if args.curve:
         write_table_csv(result.curve, args.curve)
@@ -188,7 +173,7 @@ def cmd_eval(args) -> int:
         sampler = dataclasses.replace(sampler, variant=args.sampler)
     if args.k is not None:
         sampler = dataclasses.replace(sampler, k=args.k)
-    _, dataset = load_split(args.data, "test")
+    dataset = load_split(args.data, "test")
     report, log = evaluate(
         params,
         dataset,

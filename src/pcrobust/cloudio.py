@@ -121,7 +121,7 @@ def read_xyz(path) -> PointCloud:
             raise CloudFormatError(path, f"line {lineno}: {exc}") from exc
     if not rows:
         raise CloudFormatError(path, "no points found")
-    return PointCloud(np.array(rows), label)
+    return PointCloud(np.array(rows), label, str(path))
 
 
 def write_binary(cloud: PointCloud, path) -> None:
@@ -154,7 +154,7 @@ def read_binary(path) -> PointCloud:
     if not finite.all():
         first = int(np.argmin(finite))
         raise CloudFormatError(path, f"point {first} has a non-finite coordinate")
-    return PointCloud(pts, label)
+    return PointCloud(pts, label, str(path))
 
 
 def read_cloud(path) -> PointCloud:

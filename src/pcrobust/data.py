@@ -27,7 +27,7 @@ def check_labeled(clouds) -> None:
     """Raise ValueError naming the first cloud without a label."""
     for i, cloud in enumerate(clouds):
         if cloud.label is None:
-            raise ValueError(f"cloud {i} has no label; every cloud needs one")
+            raise ValueError(f"{cloud.source or f'cloud {i}'}: no label; every cloud needs one")
 
 
 def sphere_surface(rng, n):

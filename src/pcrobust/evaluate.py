@@ -18,9 +18,8 @@ import numpy as np
 
 from .corruption import ALL_KINDS, SEVERITIES, corruption_suite
 from .data import check_labeled, derive_seed
-from .model import (BaselineParams, TooFewPointsError, input_width, network,
-                    network_input)
-from .sampling import InfeasibleSampleError, SampleSpec
+from .model import BaselineParams, checked_candidates, network, stack_inputs
+from .sampling import SampleSpec
 
 CLEAN = "clean"
 EVAL_SEEDS = (0, 1, 2, 3, 4)  # DAS anchors are random: error rates average over these
@@ -92,17 +91,10 @@ def report_from_log(records) -> EvalReport:
 
 
 def predict_streams(cloud, params, sampler, streams):
-    """Predictions for one cloud, one per random stream, as one batch, and
-    whether m was capped; see ``evaluate`` for the cap."""
-    def inputs(spec):
-        return np.stack([network_input(cloud, params, spec, np.random.default_rng(s))[0]
-                         for s in streams])
-
-    try:
-        feats, capped = inputs(sampler), False
-    except InfeasibleSampleError as err:
-        feats, capped = inputs(dataclasses.replace(sampler, m=err.available)), True
-    return network(feats, params).logits.data.argmax(axis=-1).tolist(), capped
+    """Predictions for one cloud, one per random stream, as one batch."""
+    feats = stack_inputs([cloud] * len(streams), params, sampler,
+                         [np.random.default_rng(s) for s in streams])
+    return network(feats, params).logits.data.argmax(axis=-1).tolist()
 
 
 def evaluate(
@@ -124,37 +116,44 @@ def evaluate(
 
     Whether m anchors can be drawn depends on the cloud and sampler alone:
     when a cloud has fewer positive-weight points (any points, for fps and
-    random) than m, all its eval seeds are redrawn once with m capped at
-    that count, each from a fresh generator on its stream, and their
-    records are marked ``capped``; the report counts them per cell. The
-    eval seeds of a cloud are one batch, on a no-grad view of the weights,
-    and draw from the density weights the cloud keeps.
-    Every cloud needs a label: ValueError names the first without one.
-    Before a cloud's first prediction, TooFewPointsError names the first of
-    its variants with fewer points than the model's groups or the
-    sampler's neighbour table take.
+    random) than m, all its eval seeds draw m capped at that count, and
+    their records are marked ``capped``; the report counts them per cell.
+    The eval seeds of a cloud are one batch, each drawing from a fresh
+    generator on its stream, on a no-grad view of the weights, and draw
+    from the density weights the cloud keeps.
+    ValueError names an empty ``eval_seeds``, and the first cloud without
+    a label. Before a cloud's first prediction, TooFewPointsError names
+    the first of its variants with fewer points than the model's groups or
+    the sampler's neighbour table take. Errors name a cloud by its file,
+    or by its index for an in-memory cloud.
     Returns (EvalReport, prediction log).
     """
+    eval_seeds = tuple(eval_seeds)
+    if not eval_seeds:
+        raise ValueError("eval_seeds is empty: evaluate() needs at least one eval seed")
     check_labeled(dataset)
     if isinstance(params, BaselineParams) or (sampler is not None
                                               and sampler.variant == "fps"):
-        eval_seeds = tuple(eval_seeds)[:1]
+        eval_seeds = eval_seeds[:1]
     params = params.no_grad()
     grouped = sampler is not None and not isinstance(params, BaselineParams)
-    width = input_width(params.group_k, sampler) if grouped else 1
     records = []
     for i, cloud in enumerate(dataset):
         suite = corruption_suite(cloud, kinds, derive_seed(corruption_seed, "cloud", i),
                                  severities)
         variants = [(CLEAN, 0, cloud)] + [(s.kind, s.severity, c) for s, c in suite]
-        for kind, severity, variant in variants:
-            if variant.n < width:
-                raise TooFewPointsError(f"cloud {i}, {kind} severity {severity}", i,
-                                        variant.n, params.group_k, sampler)
-        for kind, severity, variant in variants:
+        specs = [sampler] * len(variants)
+        for j, (kind, severity, variant) in enumerate(variants):
+            if grouped:
+                where = f"{cloud.source or f'cloud {i}'}, {kind} severity {severity}"
+                available = checked_candidates(variant, params.group_k, sampler, where, i)
+                if available < sampler.m:
+                    specs[j] = dataclasses.replace(sampler, m=available)
+        for (kind, severity, variant), spec in zip(variants, specs):
             streams = [derive_seed(seed, "pred", i, kind, severity) for seed in eval_seeds]
-            preds, capped = predict_streams(variant, params, sampler, streams)
-            records += [PredictionRecord(i, kind, severity, seed, cloud.label, pred, capped)
+            preds = predict_streams(variant, params, spec, streams)
+            records += [PredictionRecord(i, kind, severity, seed, cloud.label, pred,
+                                         capped=spec != sampler)
                         for seed, pred in zip(eval_seeds, preds)]
     return report_from_log(records), records
 

@@ -19,6 +19,10 @@ import numpy as np
 class PointCloud:
     """Immutable N x 3 coordinate set with an optional integer class label.
 
+    ``source`` is the file the cloud was read from, which errors name;
+    equality ignores it and derived copies (``with_points``, corrupted and
+    normalised clouds) drop it.
+
     The cloud carries one cache of what depends on its points alone: the
     lazily built neighbour table (see ``neighbors``) and whatever ``memo``
     keeps: density profiles and FPS anchors. It lives as long as the cloud
@@ -27,6 +31,7 @@ class PointCloud:
 
     points: np.ndarray
     label: int | None = None
+    source: str | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

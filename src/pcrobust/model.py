@@ -5,8 +5,7 @@ then a network with leading batch axes: a shared per-point embedding MLP
 with max aggregation per group, four cascaded self-attention layers
 (residual, same width in and out), feature concatenation through a linear
 projection, global max pool, and an MLP head. The forward trace keeps the
-pre-softmax attention scores and the pre-pool point features so the
-entropy objectives can reach them.
+pre-softmax attention scores so the entropy objective can reach them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .cloudio import BinaryReader, FormatError
 from .geometry import PointCloud
-from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
+from .sampling import SAMPLER_VARIANTS, SampleSpec, anchor_candidates, sample_anchors
 
 CHECKPOINT_MAGIC = b"RPM1"
 
@@ -220,6 +219,18 @@ def input_width(group_k: int, sampler: SampleSpec) -> int:
     return max(group_k, sampler.neighbor_width)
 
 
+def checked_candidates(cloud: PointCloud, group_k: int, sampler: SampleSpec, where: str,
+                       index: int) -> int:
+    """A cloud's check before its first input step: TooFewPointsError,
+    naming it ``where``, below ``input_width`` points; else its neighbour
+    table is built at that width and its ``anchor_candidates`` returned."""
+    width = input_width(group_k, sampler)
+    if cloud.n < width:
+        raise TooFewPointsError(where, index, cloud.n, group_k, sampler)
+    cloud.neighbors(width)
+    return anchor_candidates(cloud, sampler)
+
+
 def group_indices(cloud: PointCloud, anchors: np.ndarray, group_k: int) -> np.ndarray:
     """Self-inclusive nearest original points of each anchor, ties by index."""
     if not 1 <= group_k <= cloud.n:
@@ -255,6 +266,13 @@ def network_input(
     rel = pts[groups] - pts[anchors][:, None, :]
     ctr = np.broadcast_to(pts[anchors][:, None, :], rel.shape)
     return np.concatenate([rel, ctr], axis=2), anchors
+
+
+def stack_inputs(clouds, params, sampler, rngs) -> np.ndarray:
+    """``network_input`` of a list of clouds as one batch, anchors drawn per
+    cloud in order."""
+    return np.stack([network_input(c, params, sampler, rng)[0]
+                     for c, rng in zip(clouds, rngs)])
 
 
 def neighbor_embed(feats: np.ndarray, params: ModelParams) -> Tensor:

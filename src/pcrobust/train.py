@@ -23,9 +23,9 @@ from . import autodiff as ad
 from .autodiff import NonFiniteError
 from .data import check_labeled, derive_seed
 from .losses import LossConfig, attention_sem_loss, smoothed_cross_entropy, total_loss
-from .model import (BaselineParams, ModelParams, TooFewPointsError, init_baseline,
-                    init_model, input_width, network, network_input)
-from .sampling import InfeasibleSampleError, SampleSpec, anchor_candidates
+from .model import (BaselineParams, ModelParams, checked_candidates, init_baseline,
+                    init_model, network, stack_inputs)
+from .sampling import InfeasibleSampleError, SampleSpec
 
 
 class TrainingDiverged(RuntimeError):
@@ -34,18 +34,16 @@ class TrainingDiverged(RuntimeError):
 
 class InfeasibleAnchorsError(InfeasibleSampleError):
     """A training or validation cloud has fewer anchor candidates than
-    ``m_anchors``; ``train()`` raises it before any optimizer step. The
-    message names the cloud's file, ``path``, or its index in the dataset
-    when ``path`` is None (an in-memory dataset)."""
+    ``m_anchors``; ``train()`` raises it before any optimizer step. ``where``
+    names the cloud and ``index`` is its position in the dataset."""
 
-    def __init__(self, requested: int, available: int, index: int, sampler: str, path):
+    def __init__(self, requested: int, available: int, index: int, sampler: str, where: str):
         super().__init__(requested, available, "anchor candidates")
-        self.args = (requested, available, index, sampler, path)
-        self.index, self.sampler, self.path = index, sampler, path
+        self.args = (requested, available, index, sampler, where)
+        self.index, self.sampler, self.where = index, sampler, where
 
     def __str__(self) -> str:
-        where = self.path if self.path is not None else f"dataset cloud {self.index}"
-        return (f"{where}: m_anchors = {self.requested} is infeasible "
+        return (f"{self.where}: m_anchors = {self.requested} is infeasible "
                 f"for sampler {self.sampler}: {super().__str__()}")
 
 
@@ -120,16 +118,9 @@ class Adam:
             p.data -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
-def _stack_inputs(clouds, params, sampler, rngs) -> np.ndarray:
-    """``network_input`` of a list of clouds as one batch, anchors drawn per
-    cloud in order."""
-    return np.stack([network_input(c, params, sampler, rng)[0]
-                     for c, rng in zip(clouds, rngs)])
-
-
 def minibatch_loss(clouds, params, config, rngs):
     """Mean over the clouds of classification plus weighted self-entropy, one graph."""
-    trace = network(_stack_inputs(clouds, params, config.sampler, rngs), params)
+    trace = network(stack_inputs(clouds, params, config.sampler, rngs), params)
     cfg = config.loss
     ce = smoothed_cross_entropy(trace.logits, [c.label for c in clouds], cfg.smoothing_eps)
     if cfg.sem_weight == 0.0:
@@ -145,7 +136,7 @@ def _error_rate(clouds, params, config, rng_seed):
         batch = clouds[start : start + config.batch_size]
         rngs = [np.random.default_rng(derive_seed(rng_seed, start + j))
                 for j in range(len(batch))]
-        trace = network(_stack_inputs(batch, params, config.sampler, rngs), params)
+        trace = network(stack_inputs(batch, params, config.sampler, rngs), params)
         wrong += int((trace.logits.data.argmax(axis=-1) != [c.label for c in batch]).sum())
     return wrong / len(clouds)
 
@@ -157,7 +148,8 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     parameters bit for bit. Raises TooFewPointsError, before any step,
     when a cloud has fewer points than its groups or the sampler's
     neighbour table take, InfeasibleAnchorsError when it cannot give m
-    anchors, and TrainingDiverged when the loss goes non-finite.
+    anchors, and TrainingDiverged when the loss goes non-finite. Errors
+    name a cloud by its file, or by its index for an in-memory cloud.
     """
     check_labeled(dataset)
     labels = sorted({c.label for c in dataset})
@@ -170,12 +162,11 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     if config.arch == "attention":
         m, variant = config.sampler.m, config.sampler.variant
         for index, cloud in enumerate(dataset):
-            if cloud.n < input_width(config.group_k, config.sampler):
-                raise TooFewPointsError(f"dataset cloud {index}", index, cloud.n,
-                                        config.group_k, config.sampler)
-            available = anchor_candidates(cloud, config.sampler)
+            where = cloud.source or f"dataset cloud {index}"
+            available = checked_candidates(cloud, config.group_k, config.sampler, where,
+                                           index)
             if available < m:
-                raise InfeasibleAnchorsError(m, available, index, variant, path=None)
+                raise InfeasibleAnchorsError(m, available, index, variant, where)
 
     rng = np.random.default_rng(config.seed)
     if config.arch == "attention":

@@ -251,6 +251,25 @@ class TestEndToEnd:
         assert str(err.value) == (f"{first}: 48 points, fewer than the 50 that "
                                   "group_k = 50 and sampler fps read")
 
+    def test_eval_names_the_file_of_a_variant_smaller_than_group_k(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG)
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8, d_model=8,
+                            d_attn=4, group_k=16, n_layers=1)
+        save_checkpoint(ckpt, params, SampleSpec(m=8, variant="fps"))
+        report = tmp_path / "r.json"
+        first = sorted((data_dir / "test").glob("*.rpc"))[0]
+        # drop-global keeps a quarter of the 48 points at severity 5
+        with pytest.raises(TooFewPointsError) as err:
+            main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--report",
+                  str(report), "--kinds", "drop-global", "--severities", "5"])
+        assert str(err.value) == (f"{first}, drop-global severity 5: 12 points, fewer than "
+                                  "the 16 that group_k = 16 and sampler fps read")
+        assert not report.exists()
+
     def test_gen_data_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG)

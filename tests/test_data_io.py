@@ -1,9 +1,11 @@
+import copy
 import re
 
 import numpy as np
 import pytest
 
 from pcrobust import cloudio
+from pcrobust.corruption import CorruptionSpec, apply_corruption
 from pcrobust.data import (
     SHAPE_GENERATORS,
     SyntheticDatasetSpec,
@@ -11,7 +13,7 @@ from pcrobust.data import (
     gen_dataset,
     sphere_surface,
 )
-from pcrobust.geometry import PointCloud
+from pcrobust.geometry import PointCloud, normalize_unit_sphere
 
 from conftest import random_cloud
 
@@ -177,6 +179,22 @@ class TestBinaryFormat:
         cloudio.write_cloud(cloud, txt_path)
         assert cloudio.read_cloud(bin_path).label == 1
         assert cloudio.read_cloud(txt_path).label == 1
+
+
+class TestCloudSource:
+    @pytest.mark.parametrize("name", ["cloud.rpc", "cloud.xyz"])
+    def test_a_read_cloud_names_its_file(self, tmp_path, name):
+        path = tmp_path / name
+        cloudio.write_cloud(random_cloud(5, n=12, label=1), path)
+        cloud = cloudio.read_cloud(path)
+        assert cloud.source == str(path)
+        # equality ignores the file: the same points read from elsewhere
+        twin = copy.copy(cloud)
+        object.__setattr__(twin, "source", str(tmp_path / "elsewhere.rpc"))
+        assert twin == cloud
+        for derived in (cloud.with_points(cloud.points), normalize_unit_sphere(cloud),
+                        apply_corruption(cloud, CorruptionSpec("scale", 3, 0))):
+            assert derived.source is None
 
 
 class TestSyntheticData:

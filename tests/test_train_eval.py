@@ -82,7 +82,7 @@ def stub_predict(monkeypatch):
 
     def install(fn):
         def predict_streams(cloud, params, sampler, streams):
-            return [fn(cloud)] * len(streams), False
+            return [fn(cloud)] * len(streams)
 
         # the package's ``evaluate`` attribute is the function, not the module
         module = importlib.import_module("pcrobust.evaluate")
@@ -167,7 +167,7 @@ class TestTrain:
         dataset = tiny_dataset(per_class=2)
         dataset[2] = PointCloud(dataset[2].points)
         monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
-        with pytest.raises(ValueError, match="cloud 2 has no label"):
+        with pytest.raises(ValueError, match="cloud 2: no label"):
             train(dataset, tiny_config())
 
     def test_infeasible_anchors_are_named_before_any_step(self, monkeypatch):
@@ -218,8 +218,25 @@ class TestTrain:
         result = train(dataset, cfg)
         assert result.sampler.variant == "das-l0"
 
+    def test_one_table_per_fresh_das_cloud(self, table_builds):
+        # the check builds each table group_k = 4 wide, wider than k + 1 = 3
+        dataset = tiny_dataset(per_class=3, points=64)
+        table_builds.clear()
+        train(dataset, tiny_config(sampler=SampleSpec(m=8, k=2, variant="das-l0"), epochs=1))
+        assert len(table_builds) == len(dataset)
+        assert len({id(points) for points in table_builds}) == len(dataset)
+
 
 class TestEvaluate:
+    def test_empty_eval_seeds_is_named_before_any_corruption(self, stub_predict,
+                                                             monkeypatch):
+        module = importlib.import_module("pcrobust.evaluate")
+        monkeypatch.setattr(module, "corruption_suite",
+                            lambda *args: pytest.fail("a cloud was corrupted"))
+        stub_predict(lambda c: pytest.fail("a prediction was made"))
+        with pytest.raises(ValueError, match="eval_seeds is empty"):
+            evaluate(STUB_PARAMS, tiny_dataset(per_class=1, points=64), eval_seeds=())
+
     def test_a_variant_smaller_than_group_k_raises_before_the_clouds_first_prediction(
             self, monkeypatch):
         module = importlib.import_module("pcrobust.evaluate")
@@ -268,7 +285,7 @@ class TestEvaluate:
         dataset = tiny_dataset(per_class=2, points=64)
         dataset[1:] = [PointCloud(c.points) for c in dataset[1:]]
         stub_predict(lambda c: pytest.fail("predicted an unlabeled cloud"))
-        with pytest.raises(ValueError, match="cloud 1 has no label"):
+        with pytest.raises(ValueError, match="cloud 1: no label"):
             evaluate(STUB_PARAMS, dataset, kinds=("scale",))
 
     def test_default_eval_seeds_and_severities(self, stub_predict):
@@ -382,7 +399,7 @@ class TestCappedAnchors:
             return network_input(cloud, params, spec, rng)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(importlib.import_module("pcrobust.evaluate"), "network_input", spy)
+            mp.setattr(importlib.import_module("pcrobust.model"), "network_input", spy)
             report, log = evaluate(params, test_set, sampler=sampler, kinds=kinds,
                                    severities=(5,), eval_seeds=(0, 1))
         positive = {
@@ -411,21 +428,17 @@ class TestCappedAnchors:
             for kind in ("drop-global", "drop-local", "scale")
         }
 
-    def test_retry_caps_m_and_reuses_the_stream(self, default_run):
-        # one try at m per variant cloud; if it fails, every seed draws again
-        # at the available count from a fresh generator on its stream
+    def test_capped_variants_draw_once_at_the_available_count(self, default_run):
+        # m is capped before the draw: every seed draws once, at m or the
+        # smaller count available, from a fresh generator on its stream, so
+        # a capped variant never tries m = 64
         test_set, sampler, _, log, positive, calls = default_run
         calls = iter(calls)
         for (i, kind, severity), cell in itertools.groupby(
                 log, key=lambda r: (r.cloud_index, r.kind, r.severity)):
-            cell = list(cell)
-            starts = [np.random.default_rng(derive_seed(r.eval_seed, "pred", i, kind,
-                                                        severity)).bit_generator.state
-                      for r in cell]
-            if cell[0].capped:
-                expected = [(64, starts[0])] + [(positive[i, kind], s) for s in starts]
-            else:
-                expected = [(64, s) for s in starts]
+            m = min(sampler.m, positive[i, kind])
+            expected = [(m, np.random.default_rng(derive_seed(
+                r.eval_seed, "pred", i, kind, severity)).bit_generator.state) for r in cell]
             assert [next(calls) for _ in expected] == expected
         assert next(calls, None) is None
 
