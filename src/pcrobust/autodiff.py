@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_BLOCK_ROWS = 512  # hidden-layer rows per block of mlp_max's forward
+
 
 class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
@@ -251,7 +253,8 @@ def mlp_max(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     """max over axis -2 of relu(x @ w1 + b1) @ w2 + b2, for a constant
     (..., g, c) array x: the (..., d_out) shared point MLP and group max of
     a set-abstraction step, with ``linear``/``relu``/``max_axis``'s
-    arithmetic and finiteness checks, the hidden layer's before its ReLU.
+    arithmetic and finiteness checks, the hidden layer's before its ReLU,
+    run over blocks of whole groups that keep its arrays cache-sized.
 
     Each output's gradient routes to the first of the g slots that attains
     the max, as in ``max_axis``; x gets none. When a weight requires a
@@ -266,27 +269,32 @@ def mlp_max(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     for w, b in ((w1, b1), (w2, b2)):
         if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
             raise ValueError(f"bias shape {b.data.shape} does not fit weight {w.data.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _rows(x) @ w1.data
-        h += b1.data
-        if not np.isfinite(h).all():  # the ReLU would clip a -inf
-            raise NonFiniteError("operation produced non-finite values")
-        np.maximum(h, 0.0, out=h)
-        y = h @ w2.data
-        y += b2.data
-    if not np.isfinite(y).all():
-        raise NonFiniteError("operation produced non-finite values")
-    y = y.reshape(x.shape[:-1] + b2.data.shape)
-    data = y.max(axis=-2)
     weights = (w1, b1, w2, b2)
-    if not any(w.requires_grad for w in weights):
-        return _result(data, weights, None)
+    grad_needed = any(w.requires_grad for w in weights)
     g = x.shape[-2]
-    slot = np.zeros(data.shape, np.min_scalar_type(g - 1))
-    lost = np.ones(data.shape, bool)  # every slot so far fell short of the max
-    for s in range(g - 1):
-        lost &= y[..., s, :] != data
-        slot += lost
+    groups = x.reshape((-1,) + x.shape[-2:])
+    data = np.empty((len(groups),) + b2.data.shape)
+    slot = np.empty(data.shape, np.min_scalar_type(g - 1)) if grad_needed else None
+    step = max(1, _BLOCK_ROWS // g)
+    for lo in range(0, len(groups), step):
+        block = groups[lo:lo + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = _rows(block) @ w1.data
+            h += b1.data
+            if not np.isfinite(h).all():  # the ReLU would clip a -inf
+                raise NonFiniteError("operation produced non-finite values")
+            np.maximum(h, 0.0, out=h)
+            y = h @ w2.data
+            y += b2.data
+        if not np.isfinite(y).all():
+            raise NonFiniteError("operation produced non-finite values")
+        y = y.reshape(block.shape[:-1] + b2.data.shape)
+        out = y.max(axis=1, out=data[lo:lo + step])
+        if grad_needed:
+            slot[lo:lo + step] = (y == out[:, None]).argmax(axis=1)
+    data = data.reshape(x.shape[:-2] + b2.data.shape)
+    if not grad_needed:
+        return _result(data, weights, None)
 
     def pullback(grad):
         grad, won = _rows(grad), _rows(slot)

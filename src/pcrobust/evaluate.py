@@ -18,7 +18,7 @@ import numpy as np
 
 from .corruption import ALL_KINDS, SEVERITIES, corruption_suite
 from .data import check_labeled, derive_seed
-from .model import BaselineParams, checked_candidates, network, stack_inputs
+from .model import BaselineParams, checked_candidates, network_on_draws
 from .sampling import SampleSpec
 
 CLEAN = "clean"
@@ -91,10 +91,11 @@ def report_from_log(records) -> EvalReport:
 
 
 def predict_streams(cloud, params, sampler, streams):
-    """Predictions for one cloud, one per random stream, as one batch."""
-    feats = stack_inputs([cloud] * len(streams), params, sampler,
-                         [np.random.default_rng(s) for s in streams])
-    return network(feats, params).logits.data.argmax(axis=-1).tolist()
+    """Predictions for one cloud, one per random stream, as one batch: each
+    stream draws from a fresh generator, in stream order, and each distinct
+    anchor is embedded once (``network_on_draws``)."""
+    rngs = [np.random.default_rng(s) for s in streams]
+    return network_on_draws(cloud, params, sampler, rngs).logits.data.argmax(axis=-1).tolist()
 
 
 def evaluate(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Immutable N x 3 coordinate set with an optional integer class label.
 
@@ -31,8 +31,8 @@ class PointCloud:
 
     points: np.ndarray
     label: int | None = None
-    source: str | None = field(default=None, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    source: str | None = field(default=None, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64)
@@ -44,6 +44,13 @@ class PointCloud:
             raise ValueError("point cloud contains non-finite coordinates")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other):
+        if not isinstance(other, PointCloud):
+            return NotImplemented
+        return bool(self.label == other.label) and np.array_equal(self.points, other.points)
+
+    __hash__ = None  # clouds compare by their point arrays, which do not hash
 
     @property
     def n(self) -> int:

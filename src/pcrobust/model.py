@@ -310,7 +310,11 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
         h = ad.relu(ad.linear(Tensor(inputs), params.point_w1, params.point_b1))
         point_feats = ad.linear(h, params.point_w2, params.point_b2)
         return ForwardTrace(_pool_head(point_feats, params), [])
-    f = neighbor_embed(inputs, params)
+    return classify_embedded(neighbor_embed(inputs, params), params)
+
+
+def classify_embedded(f: Tensor, params: ModelParams) -> ForwardTrace:
+    """The classifier after ``neighbor_embed``, on (..., M, D) anchor features."""
     stage_outputs, score_maps = [], []
     for layer in params.layers:
         f, scores = self_attention_layer(f, layer, params.d_attn)
@@ -318,6 +322,25 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
         score_maps.append(scores)
     f_o = ad.matmul(ad.concat(stage_outputs), params.w_o)
     return ForwardTrace(_pool_head(f_o, params), score_maps)
+
+
+def network_on_draws(cloud: PointCloud, params, sampler: SampleSpec | None,
+                     rngs) -> ForwardTrace:
+    """``network(stack_inputs([cloud] * S, params, sampler, rngs))``, bitwise,
+    for no-grad weights, with the S draws' (S, M) anchors: each distinct
+    anchor is grouped and embedded once, then gathered into (S, M, D)."""
+    if isinstance(params, BaselineParams):
+        return network(stack_inputs([cloud] * len(rngs), params, sampler, rngs), params)
+    if sampler is None:
+        raise ValueError("the attention model needs a sampler spec to draw anchors")
+    cloud.neighbors(min(input_width(params.group_k, sampler), cloud.n))
+    anchors = np.stack([sample_anchors(cloud, sampler, rng) for rng in rngs])
+    distinct, rows = np.unique(anchors, return_inverse=True)
+    embedded = neighbor_embed(network_input(cloud, params, anchors=distinct)[0], params)
+    if embedded.requires_grad:
+        raise ValueError("network_on_draws gathers constants: pass params.no_grad()")
+    trace = classify_embedded(Tensor(embedded.data[rows.reshape(anchors.shape)]), params)
+    return replace(trace, anchors=anchors)
 
 
 def forward(

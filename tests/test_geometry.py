@@ -34,6 +34,20 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 5.0
 
+    def test_equality_compares_labels_and_points(self):
+        pts = random_cloud(12, n=10).points
+        assert PointCloud(pts, 1) == PointCloud(np.array(pts), 1)
+        assert PointCloud(pts, 1) != PointCloud(pts, 2)
+        moved = np.array(pts)
+        moved[3, 1] += 1e-12
+        assert PointCloud(pts, 1) != PointCloud(moved, 1)
+        assert PointCloud(pts, 1) != PointCloud(pts[:-1], 1)
+        assert PointCloud(pts) != pts.tolist()
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'PointCloud'"):
+            hash(PointCloud([[1.0, 2.0, 3.0]]))
+
     def test_memo_builds_once_per_key_and_copies_start_empty(self):
         cloud = random_cloud(11, n=40)
         built = []

@@ -1,16 +1,20 @@
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcrobust import autodiff as ad
+from pcrobust import model
 from pcrobust.autodiff import Tensor, finite_diff_check
+from pcrobust.corruption import CorruptionSpec, apply_corruption
 from pcrobust.geometry import PointCloud, normalize_unit_sphere
 from pcrobust.model import (
     AttentionLayerParams,
     CheckpointFormatError,
+    checked_candidates,
     forward,
     init_baseline,
     init_model,
@@ -18,10 +22,12 @@ from pcrobust.model import (
     neighbor_embed,
     network,
     network_input,
+    network_on_draws,
     save_checkpoint,
     self_attention_layer,
+    stack_inputs,
 )
-from pcrobust.sampling import SampleSpec, fps_sample
+from pcrobust.sampling import SampleSpec, fps_sample, sample_anchors
 
 from conftest import random_cloud
 from model_checks import miniature_max_fd_error
@@ -208,6 +214,99 @@ class TestEmbedOp:
         assert retained(lambda: neighbor_embed(feats, params)) < one_array
         # the measure sees the chain's graph
         assert retained(lambda: embed_chain(feats, *_embed_weights(params))) > 2 * one_array
+
+    @pytest.mark.parametrize("shape", [
+        (3 * (ad._BLOCK_ROWS // 8) + 5, 8, 6),  # four blocks, the last of 5 groups
+        (2, ad._BLOCK_ROWS + 88, 6),  # g = 600: each group is a block of its own
+        (8, 6),  # one group, no batch axes
+    ], ids=["ragged-last-block", "g-over-the-block", "2-D"])
+    def test_blocked_forward_matches_the_four_op_chain(self, shape):
+        params = init_model(np.random.default_rng(8), n_classes=3)  # README dims
+        weights = _embed_weights(params)
+        feats = np.random.default_rng(9).standard_normal(shape)
+        ours, chain = ad.mlp_max(feats, *weights), embed_chain(feats, *weights)
+        assert ours.data.shape == chain.data.shape
+        assert np.array_equal(ours.data, chain.data)
+        probe = np.random.default_rng(10).standard_normal(ours.data.shape)
+        _assert_grads_close(_weight_grads(ad.mlp_max, feats, weights, probe),
+                            _weight_grads(embed_chain, feats, weights, probe))
+
+    def test_no_grad_forward_peaks_below_one_group_by_width_array(self):
+        # batch 16 at the README defaults: one (16, 64, 8, 64) float64 array is 4.2 MB
+        params = init_model(np.random.default_rng(0), n_classes=3).no_grad()
+        feats = np.random.default_rng(1).standard_normal((16, 64, 8, 6))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            neighbor_embed(feats, params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 64 * 8 * 64 * 8
+
+
+class TestNetworkOnDraws:
+    """One cloud's anchor draws, each distinct anchor embedded once, against
+    ``network`` on the stacked per-draw inputs."""
+
+    @staticmethod
+    def rngs():
+        return [np.random.default_rng(seed) for seed in range(5)]
+
+    def assert_matches_the_stacked_batch(self, cloud, params, spec):
+        want = network(stack_inputs([cloud] * 5, params, spec, self.rngs()), params)
+        got = network_on_draws(cloud, params, spec, self.rngs())
+        assert np.array_equal(got.logits.data, want.logits.data)
+        assert all(np.array_equal(a.data, b.data)
+                   for a, b in zip(got.attention_maps, want.attention_maps, strict=True))
+        if spec is not None:
+            assert np.array_equal(got.anchors,
+                                  [sample_anchors(cloud, spec, rng) for rng in self.rngs()])
+
+    @pytest.mark.parametrize("variant", ["das-l0", "random", "fps"])
+    def test_logits_match_the_stacked_batch(self, variant):
+        params = init_model(np.random.default_rng(3), n_classes=6).no_grad()
+        self.assert_matches_the_stacked_batch(random_cloud(30, n=256), params,
+                                              SampleSpec(m=64, k=5, variant=variant))
+
+    def test_capped_variant_matches_the_stacked_batch(self):
+        params = init_model(np.random.default_rng(3), n_classes=6).no_grad()
+        sampler = SampleSpec(m=64, k=5)
+        dropped = apply_corruption(random_cloud(30, n=256), CorruptionSpec("drop-global", 5, 0))
+        available = checked_candidates(dropped, params.group_k, sampler, "dropped", 0)
+        assert available < sampler.m
+        self.assert_matches_the_stacked_batch(dropped, params, replace(sampler, m=available))
+
+    def test_baseline_matches_the_stacked_batch(self):
+        params = init_baseline(np.random.default_rng(3), n_classes=6).no_grad()
+        self.assert_matches_the_stacked_batch(random_cloud(30, n=256), params, None)
+
+    def test_each_distinct_anchor_is_embedded_once(self, monkeypatch):
+        params = init_model(np.random.default_rng(3), n_classes=6).no_grad()
+        embedded = []
+        real = model.neighbor_embed
+
+        def spy(feats, params):
+            embedded.append(feats.shape)
+            return real(feats, params)
+
+        monkeypatch.setattr(model, "neighbor_embed", spy)
+        trace = network_on_draws(random_cloud(30, n=256), params, SampleSpec(m=64, k=5),
+                                 self.rngs())
+        distinct = np.unique(trace.anchors).size
+        assert distinct < trace.anchors.size  # the draws share anchors
+        assert embedded == [(distinct, params.group_k, 6)]
+
+    def test_weights_with_gradients_are_refused(self):
+        params = init_model(np.random.default_rng(3), n_classes=6)
+        with pytest.raises(ValueError, match="no_grad"):
+            network_on_draws(random_cloud(30, n=256), params, SampleSpec(m=64, k=5),
+                             self.rngs())
+
+    def test_attention_model_needs_a_sampler(self):
+        params = init_model(np.random.default_rng(3), n_classes=6).no_grad()
+        with pytest.raises(ValueError, match="sampler spec"):
+            network_on_draws(random_cloud(30, n=256), params, None, self.rngs())
 
 
 class TestSelfAttentionLayer:

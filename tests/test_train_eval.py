@@ -32,7 +32,6 @@ from pcrobust.model import (
     forward,
     init_baseline,
     init_model,
-    network_input,
     save_checkpoint,
 )
 from pcrobust.sampling import (
@@ -393,13 +392,15 @@ class TestCappedAnchors:
         sampler = SampleSpec(m=64, k=5, variant="das-l0")
         kinds = ("drop-global", "drop-local", "scale")
         calls = []  # (anchor count, generator state on entry) per anchor draw
+        model = importlib.import_module("pcrobust.model")
+        draw = model.sample_anchors
 
-        def spy(cloud, params, spec, rng):
+        def spy(cloud, spec, rng):
             calls.append((spec.m, rng.bit_generator.state))
-            return network_input(cloud, params, spec, rng)
+            return draw(cloud, spec, rng)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(importlib.import_module("pcrobust.model"), "network_input", spy)
+            mp.setattr(model, "sample_anchors", spy)
             report, log = evaluate(params, test_set, sampler=sampler, kinds=kinds,
                                    severities=(5,), eval_seeds=(0, 1))
         positive = {
@@ -729,7 +730,17 @@ class TestBatchedPaths:
         assert [n for n, t in traces if not t.logits.requires_grad] == [2, 2]
         assert len(traces) == 2 * (2 + 1)
         traces.clear()
-        spy(importlib.import_module("pcrobust.evaluate"))
+        # evaluate() embeds each cloud's distinct anchors once, then runs
+        # the network's post-embedding half on the (seeds, M, D) features
+        model = importlib.import_module("pcrobust.model")
+        real = model.classify_embedded
+
+        def recording(features, params):
+            trace = real(features, params)
+            traces.append((len(features.data), trace))
+            return trace
+
+        monkeypatch.setattr(model, "classify_embedded", recording)
         evaluate(result.params, dataset, sampler=SampleSpec(m=8, k=3),
                  kinds=("scale",), severities=(1,), eval_seeds=(0, 1, 2))
         assert [n for n, _ in traces] == [3] * len(dataset) * 2
