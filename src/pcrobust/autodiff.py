@@ -1,19 +1,23 @@
 """Minimal dense-tensor reverse-mode differentiation.
 
-Tensors wrap float64 numpy arrays; the tape is the implicit graph of
-``_prev`` references. Every op makes one call, ``_result(data, parents,
-pullback)``: ``pullback(g)`` is a pure function of the output gradient
-that returns one gradient per parent, in parent order, and mutates
-nothing (``linear`` returns None for a constant input). ``backward``
-alone accumulates those gradients into the parents that require them, in
-the deterministic reverse topological order of construction, and drops an
-interior node's gradient as soon as its pullback has returned, so only
-leaves keep a gradient after backward and a second call over the same
-graph adds the same gradients to the leaves again. Accumulation
-is out of place (``grad + g``, never ``grad += g``) because a pullback
-may hand the same array, or views of it, to several parents, as ``add``
-and ``concat`` do. A pullback closes over the op's inputs, never over its
-output tensor, so a dropped graph is freed by reference counting alone.
+Tensors wrap float64 numpy arrays. Every op makes one call,
+``_result(data, parents, pullback)``, which gives a result that needs a
+gradient a private graph node: its gradient, its pullback and its
+parents' nodes, where a leaf that requires a gradient is its own node.
+``pullback(g)`` is a pure function of the output gradient that returns
+one gradient per parent, in parent order, and mutates nothing
+(``linear`` returns None for a constant input). It holds no op result's
+Tensor, only the arrays it reads (shapes, for ``tsum`` and ``mean``), so
+a result's array is freed once its caller drops the Tensor unless a
+pullback reads it, and a dropped graph is freed by reference counting
+alone. ``backward`` alone accumulates the gradients into the parents that
+require them, in the deterministic reverse topological order of
+construction, and drops an interior node's gradient as soon as its
+pullback has returned, so only leaves keep a gradient after backward and
+a second call over the same graph adds the same gradients to the leaves
+again. Accumulation is out of place (``grad + g``, never ``grad += g``)
+because a pullback may hand the same array, or views of it, to several
+parents, as ``add`` and ``concat`` do.
 
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
@@ -29,6 +33,8 @@ otherwise.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 _BLOCK_ROWS = 512  # hidden-layer rows per block of mlp_max's forward
@@ -38,8 +44,18 @@ class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
 
 
+class _Node:
+    """An op result's gradient, pullback and parents' nodes (None if constant)."""
+
+    __slots__ = ("grad", "pullback", "parents")
+
+    def __init__(self, pullback, parents):
+        self.grad, self.pullback, self.parents = None, pullback, parents
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_pullback", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+    pullback, parents = None, ()  # a leaf that requires a gradient is its own node
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -48,8 +64,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
-        self._pullback = None
-        self._prev = ()
+        self._node = None
 
     def item(self) -> float:
         return float(self.data)
@@ -64,9 +79,9 @@ def _result(data: np.ndarray, parents, pullback) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out._prev = tuple(parents) if out.requires_grad else ()
-    out._pullback = pullback if out.requires_grad else None
+    nodes = tuple([(p._node or p) if p.requires_grad else None for p in parents])
+    out.requires_grad = any(nodes)
+    out._node = _Node(pullback, nodes) if out.requires_grad else None
     return out
 
 
@@ -81,9 +96,8 @@ def backward(loss: Tensor):
         raise ValueError(f"backward needs a scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any requires_grad tensor")
-    order = []
-    visited = set()
-    stack = [(loss, False)]
+    root = loss._node or loss
+    order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -93,18 +107,18 @@ def backward(loss: Tensor):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._prev:
-            if p.requires_grad and id(p) not in visited:
+        for p in node.parents:
+            if p is not None and id(p) not in visited:
                 stack.append((p, False))
-    loss.grad = np.ones(())
+    root.grad = np.ones(())
     for node in reversed(order):
-        if node._pullback is None:
+        if node.pullback is None:
             continue
-        for p, g in zip(node._prev, node._pullback(node.grad)):
-            if p.requires_grad:
+        for p, g in zip(node.parents, node.pullback(node.grad)):
+            if p is not None:
                 p.grad = g if p.grad is None else p.grad + g
         node.grad = None
-    return {t: t.grad for t in order if t._pullback is None}
+    return {t: t.grad for t in order if t.pullback is None}
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +134,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
+    x, y = a.data, b.data
     with np.errstate(over="ignore"):
-        data = a.data * b.data
-    return _result(data, (a, b), lambda g: (b.data * g, a.data * g))
+        data = x * y
+    return _result(data, (a, b), lambda g: (y * g, x * g))
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
@@ -137,14 +152,14 @@ def _rows(x: np.ndarray) -> np.ndarray:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b: one product over all rows of a for a 2-D b, else batched."""
-    x = _rows(a.data) if b.data.ndim == 2 else a.data
+    x, y, shape = _rows(a.data) if b.data.ndim == 2 else a.data, b.data, a.data.shape
     # overflow/inf-minus-inf surface as NonFiniteError from the result check
     with np.errstate(over="ignore", invalid="ignore"):
-        data = (x @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+        data = (x @ y).reshape(shape[:-1] + y.shape[-1:])
 
     def pullback(g):
         g = g.reshape(x.shape[:-1] + g.shape[-1:])
-        ga = (g @ np.swapaxes(b.data, -1, -2)).reshape(a.data.shape)
+        ga = (g @ np.swapaxes(y, -1, -2)).reshape(shape)
         return ga, np.swapaxes(x, -1, -2) @ g
 
     return _result(data, (a, b), pullback)
@@ -169,7 +184,8 @@ def concat(tensors) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    return _result(np.maximum(a.data, 0.0), (a,), lambda g: ((a.data > 0.0) * g,))
+    x = a.data
+    return _result(np.maximum(x, 0.0), (a,), lambda g: ((x > 0.0) * g,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -179,31 +195,33 @@ def exp(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    size = a.data.size
+    shape, size = a.data.shape, a.data.size
     data = np.asarray(a.data.mean())
-    return _result(data, (a,), lambda g: (np.full(a.data.shape, float(g) / size),))
+    return _result(data, (a,), lambda g: (np.full(shape, float(g) / size),))
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over one axis, or over every entry when ``axis`` is None."""
     kept = a.data.sum(axis=axis, keepdims=True)
-    return _result(
-        kept.squeeze(axis),
-        (a,),
-        lambda g: (np.broadcast_to(g.reshape(kept.shape), a.data.shape).copy(),),
-    )
+    shape, kept_shape = a.data.shape, kept.shape
+    return _result(kept.squeeze(axis), (a,),
+                   lambda g: (np.broadcast_to(g.reshape(kept_shape), shape).copy(),))
 
 
 def max_axis(a: Tensor, axis: int) -> Tensor:
-    """Max over one axis; the gradient routes to the first argmax."""
+    """Max over one axis; the gradient routes to the first argmax, which
+    the forward finds and keeps when ``a`` requires a gradient."""
+    data = a.data.max(axis=axis)
+    if not a.requires_grad:
+        return _result(data, (a,), None)
+    amax, shape = a.data.argmax(axis=axis, keepdims=True), a.data.shape
 
     def pullback(g):
-        amax = a.data.argmax(axis=axis, keepdims=True)
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(shape)
         np.put_along_axis(grad, amax, np.expand_dims(g, axis), axis=axis)
         return (grad,)
 
-    return _result(a.data.max(axis=axis), (a,), pullback)
+    return _result(data, (a,), pullback)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -237,16 +255,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of x, the (d_out,) bias b broadcast over rows."""
     if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
         raise ValueError(f"bias shape {b.data.shape} does not fit weight {w.data.shape}")
+    rows, weight, shape, x_grad = _rows(x.data), w.data, x.data.shape, x.requires_grad
     with np.errstate(over="ignore", invalid="ignore"):
-        data = _rows(x.data) @ w.data
+        data = rows @ weight
         data += b.data
 
     def pullback(g):
         g = _rows(g)
-        gx = (g @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
-        return gx, _rows(x.data).T @ g, g.sum(axis=0)
+        gx = (g @ weight.T).reshape(shape) if x_grad else None
+        return gx, rows.T @ g, g.sum(axis=0)
 
-    return _result(data.reshape(x.data.shape[:-1] + b.data.shape), (x, w, b), pullback)
+    return _result(data.reshape(shape[:-1] + b.data.shape), (x, w, b), pullback)
 
 
 def mlp_max(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -314,6 +333,18 @@ def mlp_max(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
         return grads
 
     return _result(data, weights, pullback)
+
+
+def _keep_freed_arrays():
+    """Keep freed arrays in this process's heap for reuse, not returned to
+    the kernel and faulted in again: glibc's mmap and trim thresholds go to
+    32 and 64 MiB, where its dynamic ones end. No-op without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def finite_diff_check(f, x: Tensor, eps: float = 1e-4) -> float:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import _keep_freed_arrays
 from .corruption import ALL_KINDS, SEVERITIES, corruption_suite
 from .data import check_labeled, derive_seed
 from .model import BaselineParams, checked_candidates, network_on_draws
@@ -126,9 +127,11 @@ def evaluate(
     a label. Before a cloud's first prediction, TooFewPointsError names
     the first of its variants with fewer points than the model's groups or
     the sampler's neighbour table take. Errors name a cloud by its file,
-    or by its index for an in-memory cloud.
+    or by its index for an in-memory cloud. Sets the process's malloc
+    thresholds so freed arrays stay in the heap (``autodiff._keep_freed_arrays``).
     Returns (EvalReport, prediction log).
     """
+    _keep_freed_arrays()
     eval_seeds = tuple(eval_seeds)
     if not eval_seeds:
         raise ValueError("eval_seeds is empty: evaluate() needs at least one eval seed")

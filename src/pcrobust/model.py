@@ -120,7 +120,10 @@ class ForwardTrace:
 
     @property
     def prediction(self) -> int:
-        # ties resolve to the lowest class index
+        """The class of one cloud's (C,) logits; ties go to the lowest index."""
+        if self.logits.data.ndim != 1:
+            raise ValueError(f"prediction needs one cloud's (C,) logits, got shape "
+                             f"{self.logits.data.shape}")
         return int(np.argmax(self.logits.data))
 
 

@@ -150,7 +150,10 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     neighbour table take, InfeasibleAnchorsError when it cannot give m
     anchors, and TrainingDiverged when the loss goes non-finite. Errors
     name a cloud by its file, or by its index for an in-memory cloud.
+    Sets the process's malloc thresholds so freed arrays stay in the heap
+    (``autodiff._keep_freed_arrays``).
     """
+    ad._keep_freed_arrays()
     check_labeled(dataset)
     labels = sorted({c.label for c in dataset})
     if labels != list(range(len(labels))) or len(labels) < 2:

@@ -157,7 +157,8 @@ def keeping_backward(loss):
     interior or leaf, keeps its gradient. Returns {leaf: gradient}."""
     import numpy as np
 
-    order, visited, stack = [], set(), [(loss, False)]
+    root = loss._node or loss
+    order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -167,15 +168,15 @@ def keeping_backward(loss):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        stack.extend((p, False) for p in node._prev
-                     if p.requires_grad and id(p) not in visited)
-    loss.grad = np.ones(())
+        stack.extend((p, False) for p in node.parents
+                     if p is not None and id(p) not in visited)
+    root.grad = np.ones(())
     for node in reversed(order):
-        if node._pullback is not None:
-            for p, g in zip(node._prev, node._pullback(node.grad)):
-                if p.requires_grad:
+        if node.pullback is not None:
+            for p, g in zip(node.parents, node.pullback(node.grad)):
+                if p is not None:
                     p.grad = g if p.grad is None else p.grad + g
-    return {t: t.grad for t in order if t._pullback is None}
+    return {t: t.grad for t in order if t.pullback is None}
 
 
 def embed_chain(feats, w1, b1, w2, b2):

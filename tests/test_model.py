@@ -48,9 +48,9 @@ class TestNeighborEmbed:
         # features are a constant and get no gradient
         embed = neighbor_embed(feats, params)
         weights = (params.embed_w1, params.embed_b1, params.embed_w2, params.embed_b2)
-        assert len(embed._prev) == 4
-        assert all(p is w for p, w in zip(embed._prev, weights))
-        grads = embed._pullback(np.ones_like(embed.data))
+        assert len(embed._node.parents) == 4
+        assert all(p is w for p, w in zip(embed._node.parents, weights))
+        grads = embed._node.pullback(np.ones_like(embed.data))
         assert [g.shape for g in grads] == [w.data.shape for w in weights]
 
     def test_identity_sampling_group_of_self(self):
@@ -398,6 +398,13 @@ class TestForward:
         trace = forward(cloud, params, SampleSpec(m=8, variant="fps"))
         assert np.allclose(trace.logits.data, trace.logits.data[0])
         assert trace.prediction == 0
+
+    def test_prediction_refuses_batched_logits(self):
+        params = mini_params()
+        trace = network(stack_inputs([random_cloud(5, n=16)] * 2, params,
+                                     SampleSpec(m=8, variant="fps"), [None] * 2), params)
+        with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+            trace.prediction
 
     def test_duplication_invariance(self):
         cloud = random_cloud(6, n=24)
