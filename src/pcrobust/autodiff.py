@@ -12,21 +12,23 @@ a result's array is freed once its caller drops the Tensor unless a
 pullback reads it, and a dropped graph is freed by reference counting
 alone. ``backward`` alone accumulates the gradients into the parents that
 require them, in the deterministic reverse topological order of
-construction, and drops an interior node's gradient as soon as its
-pullback has returned, so only leaves keep a gradient after backward and
-a second call over the same graph adds the same gradients to the leaves
-again. Accumulation is out of place (``grad + g``, never ``grad += g``)
-because a pullback may hand the same array, or views of it, to several
-parents, as ``add`` and ``concat`` do.
+construction, and consumes the graph: an interior node drops its
+pullback (so the arrays it read) and gradient once the pullback has run,
+and a second call over the same graph raises ValueError. Accumulation is
+out of place (``grad + g``, never ``grad += g``) because a pullback may
+hand the same array, or views of it, to several parents, as ``add`` and
+``concat`` do.
 
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
 axes: a 2-D weight multiplies every row as one product, ``transpose``
 swaps the last two axes, ``concat`` joins on the last one and the
-softmaxes work on it. The one broadcast is a bias over rows. The one
-fused op, ``mlp_max``, is a two-layer ReLU MLP over the last axis of a
-constant (..., g, c) array followed by the max over g; its pullback
-recomputes the hidden layer one slot at a time instead of keeping it.
+softmaxes work on it. The one broadcast is a bias over rows. Two ops are
+fused: ``mlp_max``, a two-layer ReLU MLP over the last axis of a constant
+(..., g, c) array followed by the max over g, whose pullback recomputes
+the hidden layer one slot at a time instead of keeping it, and
+``entropy_rows``, the per-row entropy of a tempered softmax with its
+five-op chain's arithmetic, whose node keeps only log q.
 Every op validates that its result is finite and raises NonFiniteError
 otherwise.
 """
@@ -88,15 +90,16 @@ def _result(data: np.ndarray, parents, pullback) -> Tensor:
 def backward(loss: Tensor):
     """Backpropagate from a scalar; returns {leaf tensor: gradient array}.
 
-    Each interior node's gradient is freed once its pullback has run, so
-    afterwards only leaves hold one; a second call over the same graph
-    adds the same gradients to the leaves again.
+    Consumes the graph, so afterwards only leaves hold a gradient and no
+    op result's array is kept; a second call raises ValueError.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any requires_grad tensor")
     root = loss._node or loss
+    if root is not loss and root.pullback is None:
+        raise ValueError("this graph was consumed by an earlier backward; build it again")
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -110,6 +113,7 @@ def backward(loss: Tensor):
         for p in node.parents:
             if p is not None and id(p) not in visited:
                 stack.append((p, False))
+    leaves = [t for t in order if t.pullback is None]
     root.grad = np.ones(())
     for node in reversed(order):
         if node.pullback is None:
@@ -117,8 +121,8 @@ def backward(loss: Tensor):
         for p, g in zip(node.parents, node.pullback(node.grad)):
             if p is not None:
                 p.grad = g if p.grad is None else p.grad + g
-        node.grad = None
-    return {t: t.grad for t in order if t.pullback is None}
+        node.grad = node.pullback = None
+    return {t: t.grad for t in leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +240,36 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), pullback)
 
 
-def log_softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
-    """Log softmax of x/tau over the last axis; safe for extreme logit gaps."""
+def _log_softmax(x: np.ndarray, tau: float) -> np.ndarray:
+    """``log_softmax_rows``' arithmetic on an array, shared with ``entropy_rows``."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    z = (x.data - x.data.max(axis=-1, keepdims=True)) / tau
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    y = z - lse
+    z = (x - x.max(axis=-1, keepdims=True)) / tau
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _log_softmax_grad(g: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
+    return (g - p * g.sum(axis=-1, keepdims=True)) / tau
+
+
+def log_softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
+    """Log softmax of x/tau over the last axis; safe for extreme logit gaps."""
+    y = _log_softmax(x.data, tau)
+    return _result(y, (x,), lambda g: (_log_softmax_grad(g, np.exp(y), tau),))
+
+
+def entropy_rows(x: Tensor, tau: float = 1.0) -> Tensor:
+    """Entropy (nats) of softmax(x/tau) over the last axis, one per row: the
+    arithmetic of ``log_softmax_rows``, ``exp``, ``mul``, ``tsum`` and
+    ``mul_scalar(-1)`` step for step, but the node keeps only log q."""
+    log_q = _log_softmax(x.data, tau)
+    q = np.exp(log_q)
 
     def pullback(g):
-        p = np.exp(y)
-        return ((g - p * g.sum(axis=-1, keepdims=True)) / tau,)
+        q, g1 = np.exp(log_q), (-1.0 * g)[..., None]
+        return (_log_softmax_grad(q * g1 + q * (log_q * g1), q, tau),)
 
-    return _result(y, (x,), pullback)
+    return _result((q * log_q).sum(axis=-1) * -1.0, (x,), pullback)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -34,14 +34,25 @@ from .evaluate import (
 )
 from .geometry import PointCloud
 from .model import load_checkpoint, save_checkpoint
-from .sampling import SAMPLER_VARIANTS, SampleSpec, sample_anchors
+from .sampling import SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec, sample_anchors
 from .train import train
+
+
+def _usage_error(message) -> int:
+    print(message, file=sys.stderr)
+    return 2
 
 
 def cmd_sample(args) -> int:
     cloud = cloudio.read_cloud(args.input)
     spec = SampleSpec(m=args.m, k=args.k, variant=args.sampler)
-    idx = sample_anchors(cloud, spec, np.random.default_rng(args.seed))
+    if spec.neighbor_width > cloud.n:  # the density score reads k neighbours per point
+        return _usage_error(f"{args.input}: --k {args.k} needs at least {args.k + 1} "
+                            f"points, the cloud has {cloud.n}")
+    try:
+        idx = sample_anchors(cloud, spec, np.random.default_rng(args.seed))
+    except InfeasibleSampleError as exc:
+        return _usage_error(f"{args.input}: --m {args.m}: {exc}")
     Path(args.output).write_text("".join(f"{i}\n" for i in idx))
     if args.cloud_output:
         sub = PointCloud(cloud.points[idx], cloud.label)
@@ -54,10 +65,12 @@ def cmd_corrupt(args) -> int:
     cloud = cloudio.read_cloud(args.input)
     if args.suite:
         if not args.output_dir:
-            print("corrupt --suite requires --output-dir", file=sys.stderr)
-            return 2
+            return _usage_error("corrupt --suite requires --output-dir")
         name = Path(args.input).stem + ".rpc"
-        suite = corruption_suite(cloud, ALL_KINDS, args.seed)
+        try:
+            suite = corruption_suite(cloud, ALL_KINDS, args.seed)
+        except ValueError as exc:  # a kind the cloud is too small for
+            return _usage_error(f"{args.input}: {exc}")
         for spec, corrupted in suite:
             out = Path(args.output_dir) / spec.kind / str(spec.severity)
             out.mkdir(parents=True, exist_ok=True)
@@ -65,10 +78,12 @@ def cmd_corrupt(args) -> int:
         print(f"wrote {len(suite)} corrupted clouds under {args.output_dir}")
         return 0
     if not (args.kind and args.output):
-        print("corrupt needs --kind and --output (or --suite)", file=sys.stderr)
-        return 2
-    spec = CorruptionSpec(args.kind, args.severity, args.seed)
-    cloudio.write_cloud(apply_corruption(cloud, spec), args.output)
+        return _usage_error("corrupt needs --kind and --output (or --suite)")
+    try:
+        corrupted = apply_corruption(cloud, CorruptionSpec(args.kind, args.severity, args.seed))
+    except ValueError as exc:
+        return _usage_error(f"{args.input}: {exc}")
+    cloudio.write_cloud(corrupted, args.output)
     print(f"wrote {args.kind} severity {args.severity} to {args.output}")
     return 0
 

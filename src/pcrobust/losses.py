@@ -56,19 +56,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _row_entropies(scores: Tensor, tau: float) -> Tensor:
-    """Shannon entropy (nats) of softmax(row / tau) over the last axis, per row."""
-    log_q = ad.log_softmax_rows(scores, tau)
-    q = ad.exp(log_q)
-    return ad.mul_scalar(ad.tsum(ad.mul(q, log_q), axis=-1), -1.0)
-
-
 def row_entropy(row, tau: float = 1.0) -> Tensor:
     """Entropy of the tempered softmax of one score vector."""
     t = _as_tensor(row)
     if t.data.ndim not in (1, 2) or t.data.size != t.data.shape[-1]:
         raise ValueError(f"row_entropy expects a single row, got {t.data.shape}")
-    return ad.mean(_row_entropies(t, tau))
+    return ad.mean(ad.entropy_rows(t, tau))
 
 
 def attention_sem_loss(maps, sem_layers=None, tau: float = 1.0) -> Tensor:
@@ -84,7 +77,7 @@ def attention_sem_loss(maps, sem_layers=None, tau: float = 1.0) -> Tensor:
         raise ValueError("sem_layers must be nonempty")
     if any(l < 1 or l > len(maps) for l in layers):
         raise ValueError(f"sem_layers {layers} outside available 1..{len(maps)}")
-    per_layer = [ad.mean(_row_entropies(_as_tensor(maps[l - 1]), tau)) for l in layers]
+    per_layer = [ad.mean(ad.entropy_rows(_as_tensor(maps[l - 1]), tau)) for l in layers]
     total = per_layer[0]
     for term in per_layer[1:]:
         total = ad.add(total, term)

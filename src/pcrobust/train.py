@@ -203,8 +203,6 @@ def train(dataset, config: TrainConfig) -> TrainResult:
             batch = [dataset[i] for i in epoch_order[start : start + config.batch_size]]
             params.zero_grad()
             try:
-                # the previous step's graph lives until here (see README)
-                batch_loss = None
                 batch_loss = minibatch_loss(batch, params, config, [rng] * len(batch))
                 ad.backward(batch_loss)
             except NonFiniteError as exc:

@@ -81,14 +81,14 @@ class TestBackwardBasics:
         grads = backward(loss)
         assert np.array_equal(grads[x], 2 * np.ones((2, 2)))
 
-    def test_second_backward_accumulates_the_same_gradient(self):
-        # interior gradients are dropped after use, so the second call does
-        # not add onto what the first left on them
+    def test_second_backward_raises(self):
+        # backward consumes the graph; the leaves keep the first call's gradients
         x = Tensor(np.array([1.0, -1.0, 2.0]), requires_grad=True)
         loss = ad.tsum(ad.relu(ad.mul_scalar(x, 2.0)))
-        first = backward(loss)[x].copy()
-        assert np.array_equal(first, [2.0, 0.0, 2.0])
-        assert np.array_equal(backward(loss)[x], 2 * first)
+        assert np.array_equal(backward(loss)[x], [2.0, 0.0, 2.0])
+        with pytest.raises(ValueError, match="consumed by an earlier backward"):
+            backward(loss)
+        assert np.array_equal(x.grad, [2.0, 0.0, 2.0])
 
     def test_shared_pullback_output_is_not_mutated(self):
         # add hands one array to both parents; a's second contribution (from
@@ -270,6 +270,9 @@ def op_cases(seed):
         ("mlp_max[b2]", lambda t: ad.mean(ad.mul(ad.mlp_max(xg, cw1, cb1, cw2, t), c23)), b2),
         ("mlp_max[w1, 2-D]",
          lambda t: ad.mean(ad.mul(ad.mlp_max(xg[0], t, cb1, cw2, cb2), c3_)), w1),
+        ("entropy_rows", lambda t: ad.mean(ad.mul(ad.entropy_rows(t), c3)), x34),
+        ("entropy_rows[1.3]", lambda t: ad.mean(ad.mul(ad.entropy_rows(t, 1.3), c3)), x34),
+        ("entropy_rows[3-D]", lambda t: ad.mean(ad.mul(ad.entropy_rows(t, 1.3), c23)), x234),
     ]
     return cases
 
@@ -299,6 +302,23 @@ def test_constant_parents_get_no_grad():
         ]
         backward(f(Tensor(x, requires_grad=True)))
         assert all(c.grad is None for c in constants), name
+
+
+@pytest.mark.parametrize("tau", [1.0, 1.3])
+def test_entropy_rows_is_bitwise_the_five_op_chain(tau):
+    rng = _seeded(9)
+    x, probe = 3.0 * rng.standard_normal((4, 16, 16)), Tensor(rng.standard_normal((4, 16)))
+
+    def chain(t):
+        log_q = ad.log_softmax_rows(t, tau)
+        return ad.mul_scalar(ad.tsum(ad.mul(ad.exp(log_q), log_q), axis=-1), -1.0)
+
+    got = []
+    for entropy in (lambda t: ad.entropy_rows(t, tau), chain):
+        t = Tensor(x, requires_grad=True)
+        h = entropy(t)
+        got.append((h.data.tobytes(), backward(ad.tsum(ad.mul(h, probe)))[t].tobytes()))
+    assert got[0] == got[1]
 
 
 class TestFiniteDifferences:

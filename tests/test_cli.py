@@ -108,6 +108,43 @@ class TestSampleCommand:
         assert flags[0] in capsys.readouterr().err
 
 
+def write_small_xyz(tmp_path):
+    path = tmp_path / "small.xyz"
+    cloudio.write_cloud(random_cloud(5, n=10), path)
+    return path
+
+
+class TestInputTooSmall:
+    """A cloud too small for the flags ends in '<input>: <reason>', exit 2."""
+
+    @pytest.mark.parametrize("sampler", ["das-l0", "fps"])
+    def test_sample_names_m(self, tmp_path, capsys, sampler):
+        src, out = write_small_xyz(tmp_path), tmp_path / "idx.txt"
+        rc = main(["sample", "--input", str(src), "--sampler", sampler, "--m", "20",
+                   "--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err.startswith(f"{src}: --m 20: cannot draw 20 distinct indices from ")
+
+    def test_sample_names_k(self, tmp_path, capsys):
+        src, out = write_small_xyz(tmp_path), tmp_path / "idx.txt"
+        rc = main(["sample", "--input", str(src), "--m", "3", "--k", "12",
+                   "--output", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (f"{src}: --k 12 needs at least 13 points, "
+                                           "the cloud has 10\n")
+
+    @pytest.mark.parametrize("flags", [["--kind", "drop-global", "--output", "out.rpc"],
+                                       ["--suite", "--output-dir", "out"]])
+    def test_corrupt(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        src = write_small_xyz(tmp_path)
+        rc = main(["corrupt", "--input", str(src)] + flags)
+        err = capsys.readouterr().err
+        assert rc == 2 and not Path(flags[-1]).exists()
+        assert err.startswith(f"{src}: ") and "requires N >= 32, got N=10" in err
+
+
 class TestCorruptCommand:
     def test_single(self, tmp_path):
         src, cloud = write_cloud(tmp_path)
