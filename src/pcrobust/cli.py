@@ -43,11 +43,20 @@ def _usage_error(message) -> int:
     return 2
 
 
+def _k_unread(variant) -> int:
+    return _usage_error(f"--k sets the density score's neighbour count; "
+                        f"sampler {variant} reads no k")
+
+
 def cmd_sample(args) -> int:
     cloud = cloudio.read_cloud(args.input)
-    spec = SampleSpec(m=args.m, k=args.k, variant=args.sampler)
+    spec = SampleSpec(m=args.m, variant=args.sampler)
+    if args.k is not None:
+        if spec.variant != "das-l0":
+            return _k_unread(spec.variant)
+        spec = dataclasses.replace(spec, k=args.k)
     if spec.neighbor_width > cloud.n:  # the density score reads k neighbours per point
-        return _usage_error(f"{args.input}: --k {args.k} needs at least {args.k + 1} "
+        return _usage_error(f"{args.input}: --k {spec.k} needs at least {spec.k + 1} "
                             f"points, the cloud has {cloud.n}")
     try:
         idx = sample_anchors(cloud, spec, np.random.default_rng(args.seed))
@@ -187,6 +196,8 @@ def cmd_eval(args) -> int:
     if args.sampler is not None:
         sampler = dataclasses.replace(sampler, variant=args.sampler)
     if args.k is not None:
+        if sampler.variant != "das-l0":
+            return _k_unread(sampler.variant)
         sampler = dataclasses.replace(sampler, k=args.k)
     dataset = load_split(args.data, "test")
     report, log = evaluate(
@@ -233,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--sampler", choices=SAMPLER_VARIANTS, default="das-l0")
     p.add_argument("--m", type=_int_at_least(1), required=True)
-    p.add_argument("--k", type=_int_at_least(1), default=5)
+    p.add_argument("--k", type=_int_at_least(1))
     p.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="seed of the generator das-* and random draw from")
+                   help="seed of the generator das-l0 and random draw from")
     p.add_argument("--output", required=True)
     p.add_argument("--cloud-output")
     p.set_defaults(func=cmd_sample)

@@ -123,10 +123,11 @@ def evaluate(
     The eval seeds of a cloud are one batch, each drawing from a fresh
     generator on its stream, on a no-grad view of the weights, and draw
     from the density weights the cloud keeps.
-    ValueError names an empty ``eval_seeds``, and the first cloud without
-    a label. Before a cloud's first prediction, TooFewPointsError names
-    the first of its variants with fewer points than the model's groups or
-    the sampler's neighbour table take. Errors name a cloud by its file,
+    ValueError names an empty ``eval_seeds``, the first cloud without a
+    label, and an attention model without a sampler. Before a cloud's first
+    prediction, TooFewPointsError names the first of its variants with
+    fewer points than the model's groups or the sampler's neighbour table
+    take. Errors name a cloud by its file,
     or by its index for an in-memory cloud. Sets the process's malloc
     thresholds so freed arrays stay in the heap (``autodiff._keep_freed_arrays``).
     Returns (EvalReport, prediction log).
@@ -136,11 +137,12 @@ def evaluate(
     if not eval_seeds:
         raise ValueError("eval_seeds is empty: evaluate() needs at least one eval seed")
     check_labeled(dataset)
-    if isinstance(params, BaselineParams) or (sampler is not None
-                                              and sampler.variant == "fps"):
+    baseline = isinstance(params, BaselineParams)
+    if sampler is None and not baseline:
+        raise ValueError("the attention model needs a sampler spec to draw anchors")
+    if baseline or sampler.variant == "fps":
         eval_seeds = eval_seeds[:1]
     params = params.no_grad()
-    grouped = sampler is not None and not isinstance(params, BaselineParams)
     records = []
     for i, cloud in enumerate(dataset):
         suite = corruption_suite(cloud, kinds, derive_seed(corruption_seed, "cloud", i),
@@ -148,7 +150,7 @@ def evaluate(
         variants = [(CLEAN, 0, cloud)] + [(s.kind, s.severity, c) for s, c in suite]
         specs = [sampler] * len(variants)
         for j, (kind, severity, variant) in enumerate(variants):
-            if grouped:
+            if not baseline:
                 where = f"{cloud.source or f'cloud {i}'}, {kind} severity {severity}"
                 available = checked_candidates(variant, params.group_k, sampler, where, i)
                 if available < sampler.m:

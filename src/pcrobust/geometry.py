@@ -108,21 +108,18 @@ class NeighborTable:
         return self.indices.shape[1]
 
 
-def unit_sphere_frame(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Centred points and the farthest one's norm, or 1 if all coincide."""
-    centered = points - points.mean(axis=0)
-    radius = float(np.sqrt((centered**2).sum(axis=1)).max())
-    return centered, radius if radius > 0.0 else 1.0
-
-
 def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     """Center the cloud at its centroid and scale the farthest point to norm 1.
 
     A fully degenerate cloud (all points coincident) is centered only.
     Idempotent up to floating rounding.
     """
-    centered, radius = unit_sphere_frame(cloud.points)
-    return cloud.with_points(centered / radius)
+    pts = cloud.points
+    centered = pts - pts.mean(axis=0)
+    radius = np.sqrt((centered**2).sum(axis=1)).max()
+    if radius > 0.0:
+        centered = centered / radius
+    return cloud.with_points(centered)
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

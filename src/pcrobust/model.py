@@ -364,6 +364,8 @@ def forward(
 
 _ARCH_ATTENTION = 0
 _ARCH_BASELINE = 1
+# u32 sampler codes; codes 1 and 2 name samplers that were removed
+_SAMPLER_CODES = ("das-l0", "das-l1", "das-ballquery-l0", "fps", "random")
 
 
 def save_checkpoint(path, params, sampler: SampleSpec) -> None:
@@ -394,7 +396,7 @@ def save_checkpoint(path, params, sampler: SampleSpec) -> None:
     blob.append(
         struct.pack(
             "<III",
-            SAMPLER_VARIANTS.index(sampler.variant),
+            _SAMPLER_CODES.index(sampler.variant),
             sampler.m,
             sampler.k,
         )
@@ -444,9 +446,9 @@ def load_checkpoint(path):
     file's size; their count and shapes must then be the ones
     ``init_model``/``init_baseline`` build from the header's fields.
     Raises CheckpointFormatError for a bad magic, an unknown arch or
-    sampler code, a sampler m or k of 0, a zero header field, a truncated
-    file, trailing bytes, a tensor count or shape other than the header
-    gives, or non-finite values.
+    sampler code, a removed sampler, a sampler m or k of 0, a zero header
+    field, a truncated file, trailing bytes, a tensor count or shape other
+    than the header gives, or non-finite values.
     """
     reader = BinaryReader(path, CHECKPOINT_MAGIC, CheckpointFormatError)
     (arch,) = reader.unpack("<I", "arch code")
@@ -460,10 +462,13 @@ def load_checkpoint(path):
     if 0 in header:
         raise CheckpointFormatError(path, f"header fields {header} include 0")
     variant_code, samp_m, samp_k = reader.unpack("<III", "sampler")
-    if variant_code >= len(SAMPLER_VARIANTS):
+    if variant_code >= len(_SAMPLER_CODES):
         raise CheckpointFormatError(path, f"unknown sampler code {variant_code}")
+    variant = _SAMPLER_CODES[variant_code]
+    if variant not in SAMPLER_VARIANTS:
+        raise CheckpointFormatError(path, f"sampler {variant} was removed")
     try:
-        sampler = SampleSpec(m=samp_m, k=samp_k, variant=SAMPLER_VARIANTS[variant_code])
+        sampler = SampleSpec(m=samp_m, k=samp_k, variant=variant)
     except ValueError as exc:
         raise CheckpointFormatError(path, f"sampler: {exc}") from exc
     (n_tensors,) = reader.unpack("<I", "tensor count")

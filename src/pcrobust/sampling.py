@@ -1,9 +1,9 @@
 """Anchor-point selection: density-aware sampling plus FPS and RS baselines.
 
-Density-aware sampling scores each point by how many of its k nearest
-neighbors lie closer than the global mean of mean-neighbor distances, then
-draws anchors without replacement with probability proportional to that
-score. Isolated outliers score 0 and can never be picked.
+Density-aware sampling (das-l0) scores each point by how many of its k
+nearest neighbors lie closer than the global mean of mean-neighbor
+distances, then draws anchors without replacement with probability
+proportional to that score; isolated outliers score 0 and are never picked.
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, pairwise_distances, unit_sphere_frame
+from .geometry import PointCloud
 
-SAMPLER_VARIANTS = ("das-l0", "das-l1", "das-ballquery-l0", "fps", "random")
-_DENSITY_OF = {"das-l0": "l0", "das-l1": "l1", "das-ballquery-l0": "ballquery"}
-
-BALL_QUERY_RADIUS = 0.1
-BALL_QUERY_CAP = 64
+SAMPLER_VARIANTS = ("das-l0", "fps", "random")
 
 
 class InfeasibleSampleError(ValueError):
@@ -69,31 +65,24 @@ class SampleSpec:
             raise ValueError("k must be >= 1")
 
     @property
-    def density_variant(self) -> str:
-        return _DENSITY_OF[self.variant]
-
-    @property
     def neighbor_width(self) -> int:
         """Columns of the cloud's neighbour table the sampler reads."""
-        return self.k + 1 if self.variant in _DENSITY_OF else 1
+        return self.k + 1 if self.variant == "das-l0" else 1
 
 
 def density_profile(cloud: PointCloud, k: int, variant: str = "l0") -> DensityProfile:
     """Per-point density weights from mean-kNN distances.
 
     d_i is the mean distance from point i to its k nearest neighbors and
-    t the mean of all d_i. Raw score per variant:
-
-    * ``l0``: count of neighbor distances strictly below t
-    * ``l1``: sum of max(t - distance, 0) over the k neighbors
-    * ``ballquery``: count of other points strictly closer than 0.1 r, capped
-      at 64; r is the unit-sphere scale ``normalize_unit_sphere`` divides by
+    t the mean of all d_i. The raw score of point i is the count of its k
+    neighbor distances strictly below t. ``variant`` accepts only ``"l0"``,
+    the name of that score.
 
     When every raw score is 0 (e.g. perfectly uniform spacing under the
     strict inequality) the weights fall back to uniform and the profile is
     flagged degenerate.
     """
-    if variant not in _DENSITY_OF.values():
+    if variant != "l0":
         raise ValueError(f"unknown density variant {variant!r}")
     if not 1 <= k <= cloud.n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= N-1, got k={k}, N={cloud.n}")
@@ -101,15 +90,7 @@ def density_profile(cloud: PointCloud, k: int, variant: str = "l0") -> DensityPr
     near = cloud.neighbors(k + 1).distances[:, 1:]
     d = near.mean(axis=1)
     t = float(d.mean())
-
-    if variant == "l0":
-        raw = (near < t).sum(axis=1).astype(np.float64)
-    elif variant == "l1":
-        raw = np.maximum(t - near, 0.0).sum(axis=1)
-    else:
-        _, r = unit_sphere_frame(cloud.points)
-        within = (pairwise_distances(cloud.points) < BALL_QUERY_RADIUS * r).sum(axis=1)
-        raw = np.minimum(within - 1, BALL_QUERY_CAP).astype(np.float64)  # minus self
+    raw = (near < t).sum(axis=1).astype(np.float64)
 
     total = raw.sum()
     if total > 0.0:
@@ -128,12 +109,12 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
     per entry, ``log(w) - log(-log(u))`` from one uniform u each (Efraimidis
     & Spirakis 2006; Kool et al. 2019); the log form keeps a denormal
     weight's key finite. A seed draws other indices than the earlier m-step
-    loop did. Raises InfeasibleSampleError when fewer than m entries have
-    positive weight.
+    loop did. Raises ValueError for a negative or non-finite weight, and
+    InfeasibleSampleError when fewer than m entries have positive weight.
     """
     w = np.array(weights, dtype=np.float64)
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
     positive = int(np.count_nonzero(w > 0))
     if m > positive:
         raise InfeasibleSampleError(m, positive, "positive-weight entries")
@@ -145,10 +126,9 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
 
 
 def _kept_profile(cloud: PointCloud, spec: SampleSpec) -> DensityProfile:
-    """The cloud's density weights for spec, built once per (k, density
-    variant) and kept on the cloud."""
-    key = ("density", spec.k, spec.density_variant)
-    return cloud.memo(key, lambda: density_profile(cloud, spec.k, spec.density_variant))
+    """The cloud's density weights for spec, built once per k and kept on
+    the cloud."""
+    return cloud.memo(("density", spec.k), lambda: density_profile(cloud, spec.k))
 
 
 def das_sample(cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator) -> np.ndarray:
@@ -160,7 +140,7 @@ def das_sample(cloud: PointCloud, spec: SampleSpec, rng: np.random.Generator) ->
 def anchor_candidates(cloud: PointCloud, spec: SampleSpec) -> int:
     """How many distinct anchors ``sample_anchors`` can draw from the cloud:
     its points of positive density weight for DAS, all its points otherwise."""
-    if spec.variant not in _DENSITY_OF:
+    if spec.variant != "das-l0":
         return cloud.n
     return int(np.count_nonzero(_kept_profile(cloud, spec).weights))
 

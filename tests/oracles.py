@@ -44,25 +44,6 @@ def brute_density_weights(points, k):
     return d, t, raw, weights
 
 
-def brute_ball_counts(points, radius=0.1, cap=64):
-    """Per-point count of other points strictly within ``radius`` of it on the
-    unit-sphere-normalised copy of the cloud, capped at ``cap``.
-
-    The copy is centred at the centroid and divided by the farthest point's
-    norm, unless every point coincides; counts are taken on that copy.
-    """
-    n = len(points)
-    centroid = [sum(p[c] for p in points) / n for c in range(3)]
-    centered = [[p[c] - centroid[c] for c in range(3)] for p in points]
-    scale = max(math.hypot(*p) for p in centered)
-    unit = [[v / scale for v in p] for p in centered] if scale > 0 else centered
-    return [
-        min(sum(1 for j in range(n) if j != i and math.dist(unit[i], unit[j]) < radius),
-            cap)
-        for i in range(n)
-    ]
-
-
 def brute_entropy(values, tau):
     """Shannon entropy (nats) of softmax(values / tau), max-stabilized."""
     m = max(values)

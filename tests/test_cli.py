@@ -92,12 +92,12 @@ class TestSampleCommand:
         src, _ = write_cloud(tmp_path, seed=2)
         out = tmp_path / "idx.txt"
         rc = main(["sample", "--input", str(src), "--sampler", sampler, "--m", "4",
-                   "--k", "3", "--output", str(out)])
+                   "--output", str(out)])
         assert rc == 0
         assert len(set(out.read_text().split())) == 4
 
     @pytest.mark.parametrize(
-        "flags", [["--sampler", "das"], ["--sampler", "ballquery"], ["--method", "fps"]]
+        "flags", [["--sampler", "das"], ["--sampler", "das-l1"], ["--method", "fps"]]
     )
     def test_rejects_other_sampler_flags(self, tmp_path, flags, capsys):
         src, _ = write_cloud(tmp_path)
@@ -106,6 +106,17 @@ class TestSampleCommand:
                   "--output", str(tmp_path / "idx.txt")] + flags)
         assert err.value.code == 2
         assert flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sampler", ["fps", "random"])
+    def test_k_for_a_sampler_that_reads_none_is_a_usage_error(self, tmp_path, sampler,
+                                                              capsys):
+        src, _ = write_cloud(tmp_path)
+        out = tmp_path / "idx.txt"
+        rc = main(["sample", "--input", str(src), "--sampler", sampler, "--m", "4",
+                   "--k", "3", "--output", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"--k sets the density score's neighbour count; sampler {sampler} reads no k\n")
 
 
 def write_small_xyz(tmp_path):
@@ -248,20 +259,19 @@ class TestEndToEnd:
         assert len(lines) == 3  # header + 2 sampler rows
 
     def test_train_names_the_file_of_an_infeasible_cloud(self, tmp_path, monkeypatch):
-        # 64-point clouds keep fewer than 20 points with a ball-query neighbour
+        # some 48-point clouds have fewer than 40 points of positive density weight
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(TINY_CONFIG.replace("points = 48", "points = 64")
-                       .replace("m_anchors = 8", "m_anchors = 20")
-                       .replace("sampler = fps", "sampler = das-ballquery-l0"))
+        cfg.write_text(TINY_CONFIG.replace("m_anchors = 8", "m_anchors = 40")
+                       .replace("sampler = fps", "sampler = das-l0"))
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
         monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
         spec = build_train_config(parse_flat_file(cfg)).sampler
         ckpt = tmp_path / "model.ckpt"
-        tail = "m_anchors = 20 is infeasible for sampler das-ballquery-l0: cannot draw"
+        tail = "m_anchors = 40 is infeasible for sampler das-l0: cannot draw"
 
         files = sorted((data_dir / "train").glob("*.rpc"))
-        first = next(f for f in files if anchor_candidates(cloudio.read_cloud(f), spec) < 20)
+        first = next(f for f in files if anchor_candidates(cloudio.read_cloud(f), spec) < 40)
         with pytest.raises(InfeasibleSampleError) as err:
             main(["train", "--config", str(cfg), "--out", str(ckpt), "--data", str(data_dir)])
         assert isinstance(err.value, InfeasibleAnchorsError)
@@ -270,7 +280,7 @@ class TestEndToEnd:
 
         # the in-memory dataset has no files, so it names the cloud's index
         dataset = gen_dataset(build_dataset_specs(parse_flat_file(cfg))[0])
-        index = next(i for i, c in enumerate(dataset) if anchor_candidates(c, spec) < 20)
+        index = next(i for i, c in enumerate(dataset) if anchor_candidates(c, spec) < 40)
         with pytest.raises(InfeasibleAnchorsError) as err:
             main(["train", "--config", str(cfg), "--out", str(ckpt)])
         assert str(err.value).startswith(f"dataset cloud {index}: {tail}")
@@ -429,11 +439,15 @@ class TestUnlabeledDataFile:
         assert not report.exists()
 
 
+DAS_8_5 = SampleSpec(m=8, k=5, variant="das-l0")
+FPS_8_5 = SampleSpec(m=8, k=5, variant="fps")
+
+
 class TestEvalSamplerOverride:
     @pytest.fixture
-    def eval_inputs(self, tmp_path, monkeypatch):
-        """A das-l0 checkpoint (m=8, k=5), test data, and the list of
-        samplers that eval runs hand to evaluate()."""
+    def run_eval(self, tmp_path, monkeypatch):
+        """Runs eval with extra flags on a checkpoint saved with a given
+        sampler; returns the exit code and the samplers handed to evaluate()."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG)
         data_dir = tmp_path / "data"
@@ -441,7 +455,6 @@ class TestEvalSamplerOverride:
         ckpt = tmp_path / "model.ckpt"
         params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
                             d_model=16, d_attn=4, group_k=4, n_layers=2)
-        save_checkpoint(ckpt, params, SampleSpec(m=8, k=5, variant="das-l0"))
         used = []
         real = cli.evaluate
 
@@ -453,22 +466,34 @@ class TestEvalSamplerOverride:
         base = ["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
                 "--report", str(tmp_path / "r.json"), "--kinds", "scale",
                 "--severities", "1", "--eval-seeds", "0"]
-        return base, used
+
+        def run(saved, flags):
+            save_checkpoint(ckpt, params, saved)
+            return main(base + flags), used
+        return run
 
     @pytest.mark.parametrize(
-        "flags, expected",
+        "saved, flags, expected",
         [
-            ([], SampleSpec(m=8, k=5, variant="das-l0")),
-            (["--k", "3"], SampleSpec(m=8, k=3, variant="das-l0")),
-            (["--sampler", "fps"], SampleSpec(m=8, k=5, variant="fps")),
-            (["--sampler", "das-l1", "--k", "2"], SampleSpec(m=8, k=2, variant="das-l1")),
+            (DAS_8_5, [], DAS_8_5),
+            (DAS_8_5, ["--k", "3"], SampleSpec(m=8, k=3, variant="das-l0")),
+            (DAS_8_5, ["--sampler", "fps"], FPS_8_5),
+            (FPS_8_5, ["--sampler", "das-l0", "--k", "2"],
+             SampleSpec(m=8, k=2, variant="das-l0")),
         ],
         ids=["checkpoint", "k-alone", "sampler-alone", "both"],
     )
-    def test_overrides(self, eval_inputs, flags, expected):
-        base, used = eval_inputs
-        assert main(base + flags) == 0
-        assert used == [expected]
+    def test_overrides(self, run_eval, saved, flags, expected):
+        assert run_eval(saved, flags) == (0, [expected])
+
+    @pytest.mark.parametrize(
+        "saved, flags", [(DAS_8_5, ["--sampler", "random", "--k", "3"]), (FPS_8_5, ["--k", "3"])],
+        ids=["sampler-random", "checkpoint-fps"],
+    )
+    def test_k_for_a_sampler_that_reads_none_is_a_usage_error(self, run_eval, saved, flags,
+                                                              capsys):
+        assert run_eval(saved, flags) == (2, [])
+        assert "--k" in capsys.readouterr().err
 
 
 class TestConsoleScript:

@@ -442,13 +442,6 @@ class TestNeighborTableReuse:
         cloud.neighbors(params.group_k)
         assert len(table_builds) == 1
 
-    def test_ballquery_forward_builds_one_table(self, table_builds):
-        cloud = random_cloud(14, n=256)
-        params = init_model(np.random.default_rng(0), n_classes=6)
-        spec = SampleSpec(m=64, variant="das-ballquery-l0")
-        forward(cloud, params, spec, np.random.default_rng(1))
-        assert len(table_builds) == 1
-
     @pytest.mark.parametrize("variant, width", [("fps", 4), ("das-l0", 9)])
     def test_table_width_from_sampler(self, variant, width):
         cloud = random_cloud(15, n=64)
@@ -596,6 +589,15 @@ class TestCheckpoint:
         offset = 4 + 4 + 7 * 4
         path.write_bytes(raw[:offset] + (99).to_bytes(4, "little") + raw[offset + 4 :])
         with pytest.raises(CheckpointFormatError, match="unknown sampler code 99") as err:
+            load_checkpoint(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("code, name", [(1, "das-l1"), (2, "das-ballquery-l0")])
+    def test_removed_sampler_code(self, tmp_path, code, name):
+        path, raw = self.saved_bytes(tmp_path)
+        offset = 4 + 4 + 7 * 4
+        path.write_bytes(raw[:offset] + code.to_bytes(4, "little") + raw[offset + 4 :])
+        with pytest.raises(CheckpointFormatError, match=f"sampler {name} was removed") as err:
             load_checkpoint(path)
         assert err.value.path == path
 

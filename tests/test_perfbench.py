@@ -79,3 +79,18 @@ def test_eval_workload_spans_stay_live(monkeypatch, tmp_path):
         assert calls.get(name, 0) > 0, name
     variants = len(pcrobust.ALL_KINDS) * (1 + len(run.SEVERITIES))  # clean once per kind
     assert calls["model.group_indices"] == variants
+
+
+def test_workload_probes_run_against_the_package(monkeypatch, tmp_path):
+    # the probes call density_profile(cloud, k, "l0"), das_sample, forward and
+    # apply_corruption; a probe that fails on the package fails the benchmark
+    run = load_run(monkeypatch)
+    monkeypatch.setattr(run, "OUT_DIR", tmp_path)
+    workloads = [run.TrainWorkload(0, None, "das-l0"), run.EvalWorkload(0, None)]
+    for workload in workloads:
+        workload.pc = pcrobust
+        workload.sampler = pcrobust.SampleSpec(m=run.M_ANCHORS, k=run.SAMPLER_K,
+                                               variant=workload.variant)
+    workloads[1].make_inputs()
+    for workload in workloads:
+        workload.probe()

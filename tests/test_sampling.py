@@ -19,28 +19,7 @@ from pcrobust.sampling import (
 )
 
 from conftest import random_axis_rotation, random_cloud
-from oracles import brute_ball_counts, brute_density_weights
-
-
-def _ball_query_clouds():
-    rng = np.random.default_rng(40)
-    axis = np.arange(6) * 0.5
-    grid = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
-    blob = np.vstack([rng.standard_normal((120, 3)) * 0.01,
-                      rng.standard_normal((40, 3))])
-    return {
-        # half-integer grid: many equal distances, all beyond 0.1 r
-        "grid": grid,
-        # a far point stretches r so the 0.5 spacing falls inside 0.1 r
-        "grid-far": np.vstack([grid, [[8.0, 0.0, 0.0]]]),
-        "rounded": np.round(rng.standard_normal((90, 3)), 1),
-        "scaled-small": rng.standard_normal((70, 3)) * 1e-3 + 5.0,
-        "scaled-large": rng.standard_normal((70, 3)) * 1e3,
-        # more than 64 points inside the radius, so the cap binds
-        "dense": blob,
-        "coincident": np.tile([0.3, -1.2, 2.0], (80, 1)),
-        "coincident-few": np.tile([1.0, 1.0, 1.0], (7, 1)),
-    }
+from oracles import brute_density_weights
 
 
 class TestDensityProfile:
@@ -93,29 +72,9 @@ class TestDensityProfile:
             with pytest.raises(ValueError, match=message):
                 density_profile(cloud, k)
 
-    def test_l1_variant(self):
-        cloud = random_cloud(21, n=40)
-        prof = density_profile(cloud, 5, variant="l1")
-        near = cloud.neighbors(6).distances[:, 1:]
-        t = near.mean(axis=1).mean()
-        expected = np.maximum(t - near, 0.0).sum(axis=1)
-        assert np.allclose(prof.raw_counts, expected)
-        assert abs(prof.weights.sum() - 1.0) <= 1e-9
-
-    def test_ballquery_variant_excludes_far_outlier(self, cluster_outlier_cloud):
-        prof = density_profile(cluster_outlier_cloud, 2, variant="ballquery")
-        assert prof.weights[5] == 0.0
-        assert (prof.weights[:5] > 0).all()
-
-    @pytest.mark.parametrize("name", sorted(_ball_query_clouds()))
-    def test_ballquery_counts_match_normalised_copy_oracle(self, name):
-        pts = _ball_query_clouds()[name]
-        prof = density_profile(PointCloud(pts), 2, variant="ballquery")
-        assert prof.raw_counts.tolist() == brute_ball_counts(pts.tolist())
-        if name == "dense":
-            assert prof.raw_counts.max() == 64
-        if name.startswith("coincident"):
-            assert prof.raw_counts.tolist() == [min(len(pts) - 1, 64)] * len(pts)
+    def test_l0_is_the_only_density_variant(self):
+        with pytest.raises(ValueError, match="unknown density variant 'l1'"):
+            density_profile(random_cloud(5, n=8), 2, "l1")
 
     def test_scale_invariance(self):
         cloud = random_cloud(30, n=60)
@@ -167,6 +126,11 @@ class TestWeightedSample:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             weighted_sample_without_replacement([0.5, -0.1], 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_sample_without_replacement([bad, 1, 1], 2, np.random.default_rng(0))
 
     def test_distinct_indices(self):
         rng = np.random.default_rng(4)
@@ -316,7 +280,7 @@ class TestAnchorProfile:
 
     def test_one_profile_serves_many_draws(self, profile_builds):
         cloud = random_cloud(13, n=40)
-        spec = SampleSpec(m=10, k=4, variant="das-l1")
+        spec = SampleSpec(m=10, k=4, variant="das-l0")
         for seed in range(3):
             a = das_sample(random_cloud(13, n=40), spec, np.random.default_rng(seed))
             b = sample_anchors(cloud, spec, np.random.default_rng(seed))
@@ -331,16 +295,15 @@ class TestAnchorProfile:
 
     def test_one_profile_per_k_and_density(self, profile_builds):
         cloud = random_cloud(15, n=40)
-        specs = [SampleSpec(m=5, k=k, variant=v) for k in (3, 4)
-                 for v in ("das-l0", "das-l1", "das-ballquery-l0")]
+        specs = [SampleSpec(m=m, k=k) for k in (3, 4) for m in (5, 7)]
         for spec in specs + specs:
             a = sample_anchors(cloud, spec, np.random.default_rng(0))
             b = das_sample(random_cloud(15, n=40), spec, np.random.default_rng(0))
             assert np.array_equal(a, b)
-        assert len([c for c in profile_builds if c is cloud]) == len(specs)
+        assert len([c for c in profile_builds if c is cloud]) == 2
 
 
-@pytest.mark.parametrize("variant", ["das-l0", "das-l1", "das-ballquery-l0", "fps", "random"])
+@pytest.mark.parametrize("variant", ["das-l0", "fps", "random"])
 def test_anchor_candidates_is_the_largest_feasible_m(variant):
     cloud = PointCloud(np.vstack([random_cloud(19, n=30).points, [[9.0, 9.0, 9.0]]]))
     available = anchor_candidates(cloud, SampleSpec(m=1, k=3, variant=variant))
@@ -391,8 +354,7 @@ class TestFpsAnchorsKept:
 class TestSampleSpec:
     @pytest.mark.parametrize(
         "variant, width",
-        [("das-l0", 6), ("das-l1", 6), ("das-ballquery-l0", 6), ("fps", 1),
-         ("random", 1)],
+        [("das-l0", 6), ("fps", 1), ("random", 1)],
     )
     def test_neighbor_width(self, variant, width):
         assert SampleSpec(m=4, k=5, variant=variant).neighbor_width == width
@@ -406,29 +368,17 @@ class TestSampleSpec:
             SampleSpec(m=4, variant="nope")
 
     def test_dispatch(self):
-        # dense blob + a few spread points so the 0.1-radius ball query
-        # leaves at least m positive-weight candidates
         rng = np.random.default_rng(12)
         blob = rng.standard_normal((20, 3)) * 0.01
         spread = rng.standard_normal((10, 3))
         cloud = PointCloud(np.vstack([blob, spread]))
-        for variant in ("das-l0", "das-l1", "das-ballquery-l0", "fps", "random"):
+        for variant in ("das-l0", "fps", "random"):
             spec = SampleSpec(m=5, variant=variant)
             out = sample_anchors(cloud, spec, np.random.default_rng(3))
             assert len(out) == 5
             assert len(set(out.tolist())) == 5
 
-    @pytest.mark.parametrize("variant", ["das-l0", "das-ballquery-l0", "random"])
+    @pytest.mark.parametrize("variant", ["das-l0", "random"])
     def test_random_variants_need_a_generator(self, variant):
         with pytest.raises(ValueError, match="pass a generator"):
             sample_anchors(random_cloud(14, n=32), SampleSpec(m=4, variant=variant))
-
-    def test_ballquery_infeasible_on_sparse_cloud(self):
-        # no two points within the ball radius: a handful of pairs get the
-        # only positive weights, so asking for more anchors must fail
-        rng = np.random.default_rng(13)
-        pts = rng.standard_normal((30, 3)) * 5
-        pts[1] = pts[0] + 0.001  # exactly one close pair
-        spec = SampleSpec(m=5, variant="das-ballquery-l0")
-        with pytest.raises(InfeasibleSampleError):
-            das_sample(PointCloud(pts), spec, np.random.default_rng(0))

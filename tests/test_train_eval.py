@@ -79,6 +79,7 @@ def tiny_config(**overrides):
 # weights for evaluate() calls whose predictions a stub makes
 STUB_PARAMS = init_model(np.random.default_rng(0), n_classes=2, m_anchors=4, d_model=4,
                          d_attn=2, group_k=2, n_layers=1)
+STUB_SAMPLER = SampleSpec(m=4, variant="random")
 
 
 @pytest.fixture
@@ -176,19 +177,18 @@ class TestTrain:
             train(dataset, tiny_config())
 
     def test_infeasible_anchors_are_named_before_any_step(self, monkeypatch):
-        # 64-point clouds keep fewer than 20 points with a ball-query neighbour
+        # some 64-point clouds have fewer than 56 points of positive density weight
         dataset = tiny_dataset(per_class=4, points=64)
         monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
-        cfg = tiny_config(sampler=SampleSpec(m=20, variant="das-ballquery-l0"))
+        cfg = tiny_config(sampler=SampleSpec(m=56, variant="das-l0"))
         with pytest.raises(InfeasibleSampleError) as err:
             train(dataset, cfg)
-        positive = [int(np.count_nonzero(density_profile(c, 5, "ballquery").weights))
-                    for c in dataset]
-        first = next(i for i, n in enumerate(positive) if n < 20)
+        positive = [int(np.count_nonzero(density_profile(c, 5).weights)) for c in dataset]
+        first = next(i for i, n in enumerate(positive) if n < 56)
         assert isinstance(err.value, InfeasibleAnchorsError)
         assert str(err.value) == (
-            f"dataset cloud {first}: m_anchors = 20 is infeasible for sampler "
-            f"das-ballquery-l0: cannot draw 20 distinct indices from {positive[first]} "
+            f"dataset cloud {first}: m_anchors = 56 is infeasible for sampler "
+            f"das-l0: cannot draw 56 distinct indices from {positive[first]} "
             f"anchor candidates")
         assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
 
@@ -240,7 +240,17 @@ class TestEvaluate:
                             lambda *args: pytest.fail("a cloud was corrupted"))
         stub_predict(lambda c: pytest.fail("a prediction was made"))
         with pytest.raises(ValueError, match="eval_seeds is empty"):
-            evaluate(STUB_PARAMS, tiny_dataset(per_class=1, points=64), eval_seeds=())
+            evaluate(STUB_PARAMS, tiny_dataset(per_class=1, points=64), STUB_SAMPLER,
+                     eval_seeds=())
+
+    def test_attention_model_without_a_sampler_is_named_before_any_corruption(
+            self, stub_predict, monkeypatch):
+        module = importlib.import_module("pcrobust.evaluate")
+        monkeypatch.setattr(module, "corruption_suite",
+                            lambda *args: pytest.fail("a cloud was corrupted"))
+        stub_predict(lambda c: pytest.fail("a prediction was made"))
+        with pytest.raises(ValueError, match="needs a sampler spec"):
+            evaluate(STUB_PARAMS, tiny_dataset(per_class=1, points=64))
 
     def test_a_variant_smaller_than_group_k_raises_before_the_clouds_first_prediction(
             self, monkeypatch):
@@ -260,7 +270,8 @@ class TestEvaluate:
     def test_perfect_stub_all_zero(self, stub_predict):
         dataset = tiny_dataset(per_class=3, points=64)
         stub_predict(lambda c: c.label)
-        report, log = evaluate(STUB_PARAMS, dataset, kinds=("jitter-gaussian", "scale"))
+        report, log = evaluate(STUB_PARAMS, dataset, STUB_SAMPLER,
+                               kinds=("jitter-gaussian", "scale"))
         assert report.er_clean == 0.0
         assert report.er_cor == 0.0
         assert all(v == 0.0 for v in report.per_cell.values())
@@ -270,14 +281,14 @@ class TestEvaluate:
             per_class=5, points=64, classes=("sphere", "cube", "plane", "torus")
         )
         stub_predict(lambda c: 0)
-        report, _ = evaluate(STUB_PARAMS, dataset, kinds=())
+        report, _ = evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=())
         assert report.er_clean == 0.75
 
     def test_aggregates_recompute_from_log(self, stub_predict):
         dataset = tiny_dataset(per_class=2, points=64)
         stub_predict(lambda c: int(c.points[0, 0] > 0))
         kinds = ("jitter-gaussian", "drop-global")
-        report, log = evaluate(STUB_PARAMS, dataset, kinds=kinds)
+        report, log = evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=kinds)
         # per-kind means over severities, then unweighted mean over kinds
         for kind in kinds:
             cells = [report.per_cell[(kind, s)] for s in range(1, 6)]
@@ -291,12 +302,12 @@ class TestEvaluate:
         dataset[1:] = [PointCloud(c.points) for c in dataset[1:]]
         stub_predict(lambda c: pytest.fail("predicted an unlabeled cloud"))
         with pytest.raises(ValueError, match="cloud 1: no label"):
-            evaluate(STUB_PARAMS, dataset, kinds=("scale",))
+            evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("scale",))
 
     def test_default_eval_seeds_and_severities(self, stub_predict):
         dataset = tiny_dataset(per_class=1, points=64)
         stub_predict(lambda c: c.label)
-        _, log = evaluate(STUB_PARAMS, dataset, kinds=("scale",))
+        _, log = evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("scale",))
         assert sorted({r.eval_seed for r in log}) == list(EVAL_SEEDS) == [0, 1, 2, 3, 4]
         assert sorted({r.severity for r in log} - {0}) == list(SEVERITIES)
 
@@ -304,7 +315,7 @@ class TestEvaluate:
         dataset = tiny_dataset(per_class=2, points=64)
         stub_predict(lambda c: c.label)
         report, log = evaluate(
-            STUB_PARAMS, dataset, kinds=("impulse",), severities=(3, 4, 5)
+            STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("impulse",), severities=(3, 4, 5)
         )
         assert set(report.per_cell) == {("impulse", s) for s in (3, 4, 5)}
 
@@ -623,9 +634,9 @@ class TestBatchedPaths:
 
     @pytest.mark.parametrize(
         "arch, variant",
-        [("attention", "das-l0"), ("attention", "das-ballquery-l0"), ("attention", "fps"),
-         ("attention", "random"), ("baseline", "das-l0")],
-        ids=["das-l0", "das-ballquery-l0", "fps", "random", "baseline"],
+        [("attention", "das-l0"), ("attention", "fps"), ("attention", "random"),
+         ("baseline", "das-l0")],
+        ids=["das-l0", "fps", "random", "baseline"],
     )
     def test_evaluate_matches_per_cloud_oracle(self, arch, variant):
         # drop-global at severity 5 leaves 50 of 200 points, fewer than m
