@@ -23,12 +23,15 @@ Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
 axes: a 2-D weight multiplies every row as one product, ``transpose``
 swaps the last two axes, ``concat`` joins on the last one and the
-softmaxes work on it. The one broadcast is a bias over rows. Two ops are
-fused: ``mlp_max``, a two-layer ReLU MLP over the last axis of a constant
-(..., g, c) array followed by the max over g, whose pullback recomputes
-the hidden layer one slot at a time instead of keeping it, and
+softmaxes work on it. The one broadcast is a bias over rows. Three ops
+are fused: ``mlp_max``, a two-layer ReLU MLP over the last axis of a
+constant (..., g, c) array followed by the max over g, whose pullback
+recomputes the hidden layer one slot at a time instead of keeping it;
 ``entropy_rows``, the per-row entropy of a tempered softmax with its
-five-op chain's arithmetic, whose node keeps only log q.
+five-op chain's arithmetic, whose node keeps only log q; and
+``concat_matmul``, parts joined on the last axis times a 2-D weight,
+whose node keeps the parts, not their joined copy, and whose pullback
+returns one gradient per part.
 Every op validates that its result is finite and raises NonFiniteError
 otherwise.
 """
@@ -185,6 +188,30 @@ def concat(tensors) -> Tensor:
 
     data = np.concatenate([t.data for t in tensors], axis=-1)
     return _result(data, tensors, pullback)
+
+
+def concat_matmul(parts, w: Tensor) -> Tensor:
+    """``matmul(concat(parts), w)`` for a 2-D w, with their arithmetic, but
+    no (..., sum of widths) array outlives the call: the node keeps the
+    parts and w, and the pullback hands part l ``g @ w[rows of l].T`` and
+    w the stacked ``part_l^T @ g`` blocks, a column split of matmul's
+    input gradient and a row split of its weight gradient."""
+    parts = list(parts)
+    if w.data.ndim != 2:
+        raise ValueError(f"concat_matmul needs a 2-D weight, got shape {w.data.shape}")
+    xs, weight = [p.data for p in parts], w.data
+    joined = np.concatenate(xs, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = (_rows(joined) @ weight).reshape(joined.shape[:-1] + weight.shape[-1:])
+    offsets = np.cumsum([0] + [x.shape[-1] for x in xs])
+
+    def pullback(g):
+        g = _rows(g)
+        grads = [(g @ weight[lo:hi].T).reshape(x.shape)
+                 for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])]
+        return grads + [np.concatenate([_rows(x).T @ g for x in xs])]
+
+    return _result(data, parts + [w], pullback)
 
 
 def relu(a: Tensor) -> Tensor:

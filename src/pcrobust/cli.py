@@ -33,7 +33,7 @@ from .evaluate import (
     write_severity_curves_csv,
 )
 from .geometry import PointCloud
-from .model import load_checkpoint, save_checkpoint
+from .model import BaselineParams, load_checkpoint, save_checkpoint
 from .sampling import SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec, sample_anchors
 from .train import train
 
@@ -73,6 +73,10 @@ def cmd_sample(args) -> int:
 def cmd_corrupt(args) -> int:
     cloud = cloudio.read_cloud(args.input)
     if args.suite:
+        for flag in ("kind", "severity", "output"):
+            if getattr(args, flag) is not None:
+                return _usage_error(f"corrupt --suite writes every kind and severity "
+                                    f"under --output-dir; it takes no --{flag}")
         if not args.output_dir:
             return _usage_error("corrupt --suite requires --output-dir")
         name = Path(args.input).stem + ".rpc"
@@ -88,12 +92,13 @@ def cmd_corrupt(args) -> int:
         return 0
     if not (args.kind and args.output):
         return _usage_error("corrupt needs --kind and --output (or --suite)")
+    severity = 3 if args.severity is None else args.severity
     try:
-        corrupted = apply_corruption(cloud, CorruptionSpec(args.kind, args.severity, args.seed))
+        corrupted = apply_corruption(cloud, CorruptionSpec(args.kind, severity, args.seed))
     except ValueError as exc:
         return _usage_error(f"{args.input}: {exc}")
     cloudio.write_cloud(corrupted, args.output)
-    print(f"wrote {args.kind} severity {args.severity} to {args.output}")
+    print(f"wrote {args.kind} severity {severity} to {args.output}")
     return 0
 
 
@@ -193,6 +198,11 @@ _SEVERITIES = _comma_list(_among(SEVERITIES),
 
 def cmd_eval(args) -> int:
     params, sampler = load_checkpoint(args.ckpt)
+    if isinstance(params, BaselineParams):
+        for flag in ("sampler", "k"):
+            if getattr(args, flag) is not None:
+                return _usage_error(f"--{flag} sets how anchors are drawn; {args.ckpt} "
+                                    "holds a baseline, and a baseline samples no anchors")
     if args.sampler is not None:
         sampler = dataclasses.replace(sampler, variant=args.sampler)
     if args.k is not None:
@@ -254,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corrupt", help="apply one corruption or the full suite")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=list(ALL_KINDS))
-    p.add_argument("--severity", type=int, choices=SEVERITIES, default=3)
+    p.add_argument("--severity", type=int, choices=SEVERITIES,
+                   help="severity of a single corruption (default 3)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--output")
     p.add_argument("--suite", action="store_true")

@@ -317,13 +317,15 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
 
 
 def classify_embedded(f: Tensor, params: ModelParams) -> ForwardTrace:
-    """The classifier after ``neighbor_embed``, on (..., M, D) anchor features."""
+    """The classifier after ``neighbor_embed``, on (..., M, D) anchor features.
+    The stage outputs are joined and projected by one ``concat_matmul`` op,
+    whose graph keeps the stages, not a (..., M, n_layers * D) copy."""
     stage_outputs, score_maps = [], []
     for layer in params.layers:
         f, scores = self_attention_layer(f, layer, params.d_attn)
         stage_outputs.append(f)
         score_maps.append(scores)
-    f_o = ad.matmul(ad.concat(stage_outputs), params.w_o)
+    f_o = ad.concat_matmul(stage_outputs, params.w_o)
     return ForwardTrace(_pool_head(f_o, params), score_maps)
 
 

@@ -8,6 +8,10 @@ baseline:
   end-to-end config (``test_cli.TINY_CONFIG``);
 * the training curve of that config, with the sampler (or the arch)
   swapped in, and the sha256 of the checkpoint that training returns;
+* the training curve and checkpoint sha256 of a das-l0 and an fps run at
+  the benchmark's train size (``perfbench/run.py``: 60 clouds of 256
+  points, m 64, d_model 64, 4 layers, 2 epochs), where batches are full
+  and the layers as wide as the README defaults;
 * the fingerprint of the numpy build and CPU the record was made on.
 
 ``test_golden.py`` rebuilds it with ``golden()`` and compares. A checkpoint
@@ -31,10 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from pcrobust.config import build_dataset_specs, build_train_config, parse_flat_file
-from pcrobust.data import gen_dataset
+from pcrobust.data import SyntheticDatasetSpec, gen_dataset
 from pcrobust.evaluate import evaluate
 from pcrobust.model import init_baseline, init_model, save_checkpoint
-from pcrobust.train import train
+from pcrobust.sampling import SampleSpec
+from pcrobust.train import TrainConfig, train
 
 from test_cli import TINY_CONFIG
 
@@ -45,6 +50,10 @@ KINDS = ("jitter-gaussian", "impulse", "drop-global", "add-global")
 SEVERITIES = (1, 5)  # drop-global at 5 leaves 12 of the 48 points
 EVAL_SEEDS = (0, 1)
 WEIGHTS_SEED = 11
+# the benchmark's train size; the README defaults give the other settings
+BENCH_SAMPLERS = ("das-l0", "fps")
+BENCH_DATA = SyntheticDatasetSpec(per_class=10, points=256, seed=5)
+BENCH_M, BENCH_EPOCHS, BENCH_SEED = 64, 2, 7
 
 
 def _config(arch: str) -> dict:
@@ -82,13 +91,18 @@ def _trained(arch: str):
     return train(gen_dataset(train_spec), build_train_config(cfg))
 
 
-def _train_record(arch: str) -> dict:
-    result = _trained(arch)
+def _train_record(result) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(path, result.params, result.sampler)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"curve": result.curve, "checkpoint_sha256": digest}
+
+
+def _bench_record(sampler: str) -> dict:
+    config = TrainConfig(sampler=SampleSpec(m=BENCH_M, variant=sampler),
+                         epochs=BENCH_EPOCHS, seed=BENCH_SEED)
+    return _train_record(train(gen_dataset(BENCH_DATA), config))
 
 
 def fingerprint() -> dict:
@@ -110,7 +124,9 @@ def golden() -> dict:
         "eval": {"kinds": list(KINDS), "severities": list(SEVERITIES),
                  "eval_seeds": list(EVAL_SEEDS), "weights_seed": WEIGHTS_SEED},
         "fingerprint": fingerprint(),
-        "archs": {arch: {**_eval_record(arch), **_train_record(arch)} for arch in ARCHS},
+        "archs": {arch: {**_eval_record(arch), **_train_record(_trained(arch))}
+                  for arch in ARCHS},
+        "bench": {sampler: _bench_record(sampler) for sampler in BENCH_SAMPLERS},
     }
 
 
@@ -121,6 +137,9 @@ def main() -> int:
     print(f"wrote {GOLDEN}")
     for arch in ARCHS:
         print(f"{arch}: checkpoint sha256 {record['archs'][arch]['checkpoint_sha256']}")
+    for sampler in BENCH_SAMPLERS:
+        print(f"bench {sampler}: checkpoint sha256 "
+              f"{record['bench'][sampler]['checkpoint_sha256']}")
     return 0
 
 

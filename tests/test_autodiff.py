@@ -1,5 +1,6 @@
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -274,6 +275,25 @@ def op_cases(seed):
         ("entropy_rows[1.3]", lambda t: ad.mean(ad.mul(ad.entropy_rows(t, 1.3), c3)), x34),
         ("entropy_rows[3-D]", lambda t: ad.mean(ad.mul(ad.entropy_rows(t, 1.3), c23)), x234),
     ]
+    # concat_matmul of a (.., 4) and a (.., 2) part by a (6, 3) weight,
+    # drawn last for the same reason
+    c32, c232 = Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal((2, 3, 2)))
+    c63, c33 = Tensor(rng.standard_normal((6, 3))), Tensor(rng.standard_normal((3, 3)))
+    cases += [
+        ("concat_matmul[first]",
+         lambda t: ad.mean(ad.mul(ad.concat_matmul([t, c32], c63), c33)), x34),
+        ("concat_matmul[w]",
+         lambda t: ad.mean(ad.mul(ad.concat_matmul([c34, c32], t), c33)),
+         rng.standard_normal((6, 3))),
+        ("concat_matmul[first, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.concat_matmul([t, c232], c63), c233)), x234),
+        ("concat_matmul[second, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.concat_matmul([c234, t], c63), c233)),
+         rng.standard_normal((2, 3, 2))),
+        ("concat_matmul[w, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.concat_matmul([c234, c232], t), c233)),
+         rng.standard_normal((6, 3))),
+    ]
     return cases
 
 
@@ -319,6 +339,56 @@ def test_entropy_rows_is_bitwise_the_five_op_chain(tau):
         h = entropy(t)
         got.append((h.data.tobytes(), backward(ad.tsum(ad.mul(h, probe)))[t].tobytes()))
     assert got[0] == got[1]
+
+
+def _stage_outputs(batch, rng):
+    """Four (batch, 64, 64) parts, as the README dims' attention stages give,
+    or (64, 64) ones for batch None, and the (256, 64) projection."""
+    shape = (64, 64) if batch is None else (batch, 64, 64)
+    parts = [rng.standard_normal(shape) for _ in range(4)]
+    return parts, rng.standard_normal((256, 64)) / 16.0
+
+
+class TestConcatMatmul:
+    @pytest.mark.parametrize("batch", [None, 5, 16], ids=["unbatched", "5", "16"])
+    def test_is_bitwise_matmul_of_concat(self, batch):
+        rng = _seeded(batch or 0)
+        parts, w = _stage_outputs(batch, rng)
+        probe = Tensor(rng.standard_normal(parts[0].shape))
+        got = []
+        for project in (ad.concat_matmul, lambda ts, t: ad.matmul(ad.concat(ts), t)):
+            ts = [Tensor(p, requires_grad=True) for p in parts]
+            tw = Tensor(w, requires_grad=True)
+            out = project(ts, tw)
+            grads = backward(ad.tsum(ad.mul(out, probe)))
+            got.append([out.data.tobytes()] + [grads[t].tobytes() for t in ts + [tw]])
+        assert got[0] == got[1]
+
+    def test_graph_keeps_the_parts_not_their_joined_copy(self):
+        parts, w = _stage_outputs(16, _seeded(3))
+        ts = [Tensor(p, requires_grad=True) for p in parts]
+        tw = Tensor(w, requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.concat_matmul(ts, tw)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert retained < parts[0].nbytes
+        kept = inspect.getclosurevars(out._node.pullback).nonlocals.values()
+        for array in (a for v in kept for a in (v if isinstance(v, list) else [v])):
+            assert any(array is p for p in parts + [w]) or array.nbytes < parts[0].nbytes
+
+        grads = out._node.pullback(np.ones_like(out.data))
+        for g, p in zip(grads, parts):
+            owner = g if g.base is None else g.base
+            assert g.shape == p.shape and owner.shape[-1] == p.shape[-1]
+        assert grads[-1].shape == w.shape
+
+    def test_needs_a_2d_weight(self):
+        with pytest.raises(ValueError, match="2-D weight"):
+            ad.concat_matmul([Tensor(np.ones((2, 3, 4)))], Tensor(np.ones((2, 4, 3))))
 
 
 class TestFiniteDifferences:

@@ -23,7 +23,7 @@ from pcrobust.config import (
 )
 from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
 from pcrobust.losses import LossConfig
-from pcrobust.model import TooFewPointsError, init_model, save_checkpoint
+from pcrobust.model import TooFewPointsError, init_baseline, init_model, save_checkpoint
 from pcrobust.sampling import (SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec,
                                anchor_candidates)
 from pcrobust.train import Adam, InfeasibleAnchorsError, TrainConfig
@@ -191,6 +191,23 @@ class TestCorruptCommand:
                      "--output-dir", str(out)]) == 0
         assert len(list(out.rglob("*.rpc"))) == 10
         assert "wrote 10 corrupted clouds" in capsys.readouterr().out
+
+    def test_severity_defaults_to_3(self, tmp_path):
+        src, _ = write_cloud(tmp_path)
+        outs = [tmp_path / "default.rpc", tmp_path / "three.rpc"]
+        for out, flags in zip(outs, ([], ["--severity", "3"])):
+            assert main(["corrupt", "--input", str(src), "--kind", "impulse",
+                         "--output", str(out)] + flags) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--kind", "impulse"], ["--severity", "1"],
+                                       ["--output", "x.rpc"]], ids=["kind", "severity", "output"])
+    def test_suite_takes_no_single_corruption_flag(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        src, _ = write_cloud(tmp_path)
+        rc = main(["corrupt", "--input", str(src), "--suite", "--output-dir", "suite"] + flags)
+        assert rc == 2 and not Path("suite").exists() and not Path("x.rpc").exists()
+        assert capsys.readouterr().err.endswith(f"it takes no {flags[0]}\n")
 
     def test_severity_validation(self, tmp_path):
         src, _ = write_cloud(tmp_path)
@@ -467,8 +484,8 @@ class TestEvalSamplerOverride:
                 "--report", str(tmp_path / "r.json"), "--kinds", "scale",
                 "--severities", "1", "--eval-seeds", "0"]
 
-        def run(saved, flags):
-            save_checkpoint(ckpt, params, saved)
+        def run(saved, flags, weights=params):
+            save_checkpoint(ckpt, weights, saved)
             return main(base + flags), used
         return run
 
@@ -494,6 +511,15 @@ class TestEvalSamplerOverride:
                                                               capsys):
         assert run_eval(saved, flags) == (2, [])
         assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--sampler", "fps"], ["--k", "2"]],
+                             ids=["sampler", "k"])
+    def test_baseline_takes_no_sampler_flag(self, run_eval, tmp_path, flags, capsys):
+        baseline = init_baseline(np.random.default_rng(0), 2, hidden=16, d_feat=16)
+        assert run_eval(DAS_8_5, flags, baseline) == (2, [])
+        err = capsys.readouterr().err
+        assert err.startswith(f"{flags[0]} ") and "a baseline samples no anchors" in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestConsoleScript:

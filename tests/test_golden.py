@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from make_golden import ARCHS, GOLDEN, golden
+from make_golden import ARCHS, BENCH_SAMPLERS, GOLDEN, golden
 
 LOSS_RTOL = 1e-12
 
@@ -29,14 +29,19 @@ def test_record_covers_the_same_runs(rebuilt, committed):
     assert rebuilt["config"] == committed["config"]
     assert rebuilt["eval"] == committed["eval"]
     assert sorted(rebuilt["archs"]) == sorted(committed["archs"]) == sorted(ARCHS)
+    assert sorted(rebuilt["bench"]) == sorted(committed["bench"]) == sorted(BENCH_SAMPLERS)
 
 
-@pytest.mark.parametrize("arch", ARCHS)
-def test_checkpoint_digest(rebuilt, committed, arch):
+_RUNS = [("archs", arch) for arch in ARCHS] + [("bench", s) for s in BENCH_SAMPLERS]
+_RUN_IDS = list(ARCHS) + [f"bench-{s}" for s in BENCH_SAMPLERS]
+
+
+@pytest.mark.parametrize("group, run", _RUNS, ids=_RUN_IDS)
+def test_checkpoint_digest(rebuilt, committed, group, run):
     if rebuilt["fingerprint"] != committed["fingerprint"]:
         pytest.skip("numpy build or CPU differs from the record's fingerprint")
-    got = rebuilt["archs"][arch]["checkpoint_sha256"]
-    assert got == committed["archs"][arch]["checkpoint_sha256"]
+    got = rebuilt[group][run]["checkpoint_sha256"]
+    assert got == committed[group][run]["checkpoint_sha256"]
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -48,9 +53,9 @@ def test_eval_log_and_report_are_exact(rebuilt, committed, arch):
     assert got["report"] == want["report"]
 
 
-@pytest.mark.parametrize("arch", ARCHS)
-def test_training_curve(rebuilt, committed, arch):
-    got, want = rebuilt["archs"][arch]["curve"], committed["archs"][arch]["curve"]
+@pytest.mark.parametrize("group, run", _RUNS, ids=_RUN_IDS)
+def test_training_curve(rebuilt, committed, group, run):
+    got, want = rebuilt[group][run]["curve"], committed[group][run]["curve"]
     assert [r["epoch"] for r in got] == [r["epoch"] for r in want]
     assert [r["val_error"] for r in got] == [r["val_error"] for r in want]
     for g, w in zip(got, want):
