@@ -16,22 +16,22 @@ construction, and consumes the graph: an interior node drops its
 pullback (so the arrays it read) and gradient once the pullback has run,
 and a second call over the same graph raises ValueError. Accumulation is
 out of place (``grad + g``, never ``grad += g``) because a pullback may
-hand the same array, or views of it, to several parents, as ``add`` and
-``concat`` do.
+hand the same array, or views of it, to several parents, as ``add`` does.
 
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
 axes: a 2-D weight multiplies every row as one product, ``transpose``
-swaps the last two axes, ``concat`` joins on the last one and the
-softmaxes work on it. The one broadcast is a bias over rows. Three ops
-are fused: ``mlp_max``, a two-layer ReLU MLP over the last axis of a
-constant (..., g, c) array followed by the max over g, whose pullback
-recomputes the hidden layer one slot at a time instead of keeping it;
-``entropy_rows``, the per-row entropy of a tempered softmax with its
-five-op chain's arithmetic, whose node keeps only log q; and
-``concat_matmul``, parts joined on the last axis times a 2-D weight,
-whose node keeps the parts, not their joined copy, and whose pullback
-returns one gradient per part.
+swaps the last two axes and the softmaxes work on the last one. The one
+broadcast is a bias over rows. Three ops are fused: ``mlp_max``, a
+two-layer ReLU MLP over the last axis of a constant (..., g, c) array
+followed by the max over g, whose pullback recomputes the hidden layer
+one slot at a time instead of keeping it; ``entropy_rows``, the per-row
+entropy of a tempered softmax with the arithmetic of a five-op chain
+(``log_softmax_rows``, exp, ``mul``, ``tsum``, ``mul_scalar``), whose
+node keeps only log q; and ``concat_matmul``, parts joined on the last
+axis times a 2-D weight, whose node keeps the parts, not their joined
+copy, and whose pullback returns one gradient per part. The module has
+only the ops the package calls; the tests keep the unfused references.
 Every op validates that its result is finite and raises NonFiniteError
 otherwise.
 """
@@ -178,24 +178,13 @@ def transpose(a: Tensor) -> Tensor:
     return _result(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def concat(tensors) -> Tensor:
-    """Join on the last axis."""
-    tensors = list(tensors)
-    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
-
-    def pullback(g):
-        return [g[..., lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
-
-    data = np.concatenate([t.data for t in tensors], axis=-1)
-    return _result(data, tensors, pullback)
-
-
 def concat_matmul(parts, w: Tensor) -> Tensor:
-    """``matmul(concat(parts), w)`` for a 2-D w, with their arithmetic, but
-    no (..., sum of widths) array outlives the call: the node keeps the
-    parts and w, and the pullback hands part l ``g @ w[rows of l].T`` and
-    w the stacked ``part_l^T @ g`` blocks, a column split of matmul's
-    input gradient and a row split of its weight gradient."""
+    """``matmul`` of the parts joined on the last axis by a 2-D w, with its
+    arithmetic, but no (..., sum of widths) array outlives the call: the
+    node keeps the parts and w, and the pullback hands part l
+    ``g @ w[rows of l].T`` and w the stacked ``part_l^T @ g`` blocks, a
+    column split of matmul's input gradient and a row split of its weight
+    gradient."""
     parts = list(parts)
     if w.data.ndim != 2:
         raise ValueError(f"concat_matmul needs a 2-D weight, got shape {w.data.shape}")
@@ -217,12 +206,6 @@ def concat_matmul(parts, w: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     x = a.data
     return _result(np.maximum(x, 0.0), (a,), lambda g: ((x > 0.0) * g,))
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow -> inf -> NonFiniteError
-        data = np.exp(a.data)
-    return _result(data, (a,), lambda g: (data * g,))
 
 
 def mean(a: Tensor) -> Tensor:
@@ -287,8 +270,9 @@ def log_softmax_rows(x: Tensor, tau: float = 1.0) -> Tensor:
 
 def entropy_rows(x: Tensor, tau: float = 1.0) -> Tensor:
     """Entropy (nats) of softmax(x/tau) over the last axis, one per row: the
-    arithmetic of ``log_softmax_rows``, ``exp``, ``mul``, ``tsum`` and
-    ``mul_scalar(-1)`` step for step, but the node keeps only log q."""
+    arithmetic of ``log_softmax_rows``, an elementwise exp, ``mul``,
+    ``tsum`` and ``mul_scalar(-1)`` step for step, but the node keeps only
+    log q."""
     log_q = _log_softmax(x.data, tau)
     q = np.exp(log_q)
 

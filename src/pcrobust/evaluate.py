@@ -124,7 +124,8 @@ def evaluate(
     generator on its stream, on a no-grad view of the weights, and draw
     from the density weights the cloud keeps.
     ValueError names an empty ``eval_seeds``, the first cloud without a
-    label, and an attention model without a sampler. Before a cloud's first
+    label, the first whose label the model has no class for, and an
+    attention model without a sampler. Before a cloud's first
     prediction, TooFewPointsError names the first of its variants with
     fewer points than the model's groups or the sampler's neighbour table
     take. Errors name a cloud by its file,
@@ -137,6 +138,10 @@ def evaluate(
     if not eval_seeds:
         raise ValueError("eval_seeds is empty: evaluate() needs at least one eval seed")
     check_labeled(dataset)
+    for i, cloud in enumerate(dataset):
+        if not 0 <= cloud.label < params.n_classes:
+            raise ValueError(f"{cloud.source or f'cloud {i}'}: label {cloud.label} has no "
+                             f"class in a model of {params.n_classes} classes")
     baseline = isinstance(params, BaselineParams)
     if sampler is None and not baseline:
         raise ValueError("the attention model needs a sampler spec to draw anchors")

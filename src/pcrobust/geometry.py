@@ -63,8 +63,8 @@ class PointCloud:
     def memo(self, key, build):
         """``build()``, called on the first request for ``key`` and kept on
         the cloud: the points are read-only, so it cannot go stale. The
-        samplers keep one density profile per (k, density variant) and one
-        FPS anchor array per m; a build that raises keeps nothing."""
+        samplers keep one density profile per k, under ``("density", k)``,
+        and one FPS anchor array per m; a build that raises keeps nothing."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]

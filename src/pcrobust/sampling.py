@@ -108,9 +108,9 @@ def weighted_sample_without_replacement(weights, m: int, rng: np.random.Generato
     Zero-weight entries are never selected. The draw is one Gumbel-top-k key
     per entry, ``log(w) - log(-log(u))`` from one uniform u each (Efraimidis
     & Spirakis 2006; Kool et al. 2019); the log form keeps a denormal
-    weight's key finite. A seed draws other indices than the earlier m-step
-    loop did. Raises ValueError for a negative or non-finite weight, and
-    InfeasibleSampleError when fewer than m entries have positive weight.
+    weight's key finite. Raises ValueError for a negative or non-finite
+    weight, and InfeasibleSampleError when fewer than m entries have
+    positive weight.
     """
     w = np.array(weights, dtype=np.float64)
     if not (np.isfinite(w) & (w >= 0)).all():

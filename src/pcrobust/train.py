@@ -8,9 +8,10 @@ weighted self-entropy term, one Adam step per batch. A cloud keeps
 its neighbour table, density weights and FPS anchors, so every epoch and
 every validation pass reuses them. Before the first step every cloud is
 checked for enough points to group and at least m anchor candidates.
-A fixed fraction of the training clouds is held out per seed and predicted
-on a no-grad view of the weights, which builds no graph; the
-best-by-validation parameters are returned.
+A fixed fraction of the clouds, at least one, is held out per seed and
+predicted after every epoch on a no-grad view of the weights, which builds
+no graph; the parameters of the epoch with the lowest validation error
+rate are returned.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ class TrainConfig:
             raise ValueError("d_model, d_attn, group_k, n_layers must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0 <= self.val_fraction < 1:
-            raise ValueError("val_fraction must be in [0, 1)")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError("val_fraction must be in (0, 1): training picks its "
+                             "checkpoint by the error on held-out clouds")
         if self.loss.sem_weight > 0:
             n = self.n_layers if self.arch == "attention" else 0
             bad = [l for l in self.loss.sem_layers or () if not 1 <= l <= n]
@@ -144,12 +146,17 @@ def _error_rate(clouds, params, config, rng_seed):
 def train(dataset, config: TrainConfig) -> TrainResult:
     """Train on labeled clouds; returns the best-by-validation parameters.
 
+    ``round(val_fraction * len(dataset))`` clouds, drawn per seed, are held
+    out; every curve row's ``val_error`` is the error rate on them, and the
+    first epoch with the lowest one gives the returned parameters.
     Deterministic per config.seed: the same seed reproduces the returned
-    parameters bit for bit. Raises TooFewPointsError, before any step,
-    when a cloud has fewer points than its groups or the sampler's
-    neighbour table take, InfeasibleAnchorsError when it cannot give m
-    anchors, and TrainingDiverged when the loss goes non-finite. Errors
-    name a cloud by its file, or by its index for an in-memory cloud.
+    parameters bit for bit. Raises, before any step, ValueError when the
+    labels are not 0..C-1 with C >= 2 or the split leaves no validation or
+    no training cloud, TooFewPointsError when a cloud has fewer points than
+    its groups or the sampler's neighbour table take, and
+    InfeasibleAnchorsError when it cannot give m anchors; raises
+    TrainingDiverged when the loss goes non-finite. Errors name a cloud by
+    its file, or by its index for an in-memory cloud.
     Sets the process's malloc thresholds so freed arrays stay in the heap
     (``autodiff._keep_freed_arrays``).
     """
@@ -157,8 +164,13 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     check_labeled(dataset)
     labels = sorted({c.label for c in dataset})
     if labels != list(range(len(labels))) or len(labels) < 2:
-        raise ValueError("dataset labels must be 0..C-1 with C >= 2")
+        raise ValueError(f"dataset labels must be 0..C-1 with C >= 2, got {labels}")
     n_classes = len(labels)
+    n_val = int(round(config.val_fraction * len(dataset)))
+    if n_val in (0, len(dataset)):
+        left = "no validation cloud" if n_val == 0 else "no training cloud"
+        raise ValueError(f"val_fraction = {config.val_fraction} of {len(dataset)} clouds "
+                         f"leaves {left}")
     sizes = sorted({c.n for c in dataset})
     if config.arch == "baseline" and len(sizes) > 1:
         raise ValueError(f"arch 'baseline' stacks whole clouds: sizes {sizes} differ")
@@ -187,10 +199,7 @@ def train(dataset, config: TrainConfig) -> TrainResult:
                                d_feat=config.d_model)
 
     order = rng.permutation(len(dataset))
-    n_val = int(round(config.val_fraction * len(dataset)))
     val_idx, train_idx = order[:n_val], order[n_val:]
-    if train_idx.size == 0:
-        raise ValueError("validation split left no training clouds")
 
     opt = Adam(params.tensors(), lr=config.lr)
     result = TrainResult(params=params, sampler=config.sampler)
@@ -212,15 +221,12 @@ def train(dataset, config: TrainConfig) -> TrainResult:
             epoch_losses.append(batch_loss.item())
             opt.step()
 
-        if val_idx.size:
-            val_err = _error_rate(
-                [dataset[i] for i in val_idx],
-                frozen,
-                config,
-                derive_seed(config.seed, "val", epoch),
-            )
-        else:
-            val_err = float(np.mean(epoch_losses))
+        val_err = _error_rate(
+            [dataset[i] for i in val_idx],
+            frozen,
+            config,
+            derive_seed(config.seed, "val", epoch),
+        )
         result.curve.append(
             {
                 "epoch": epoch,

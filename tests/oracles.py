@@ -2,8 +2,10 @@
 
 The brute-force oracles are written with plain Python loops and math —
 deliberately not sharing any code path with the package — so agreement is
-meaningful. The per-cloud references at the end run the package's ops one
+meaningful. The per-cloud references after them run the package's ops one
 cloud at a time, the way training and evaluation ran before they batched.
+The autodiff ops at the end, which the package no longer calls, build the
+unfused chains that the fused ops are compared with.
 """
 
 import math
@@ -167,3 +169,33 @@ def embed_chain(feats, w1, b1, w2, b2):
 
     h = ad.relu(ad.linear(ad.Tensor(feats), w1, b1))
     return ad.max_axis(ad.linear(h, w2, b2), axis=-2)
+
+
+def concat(tensors):
+    """Autodiff op: join on the last axis; the pullback hands each input
+    its slice of the output gradient. ``autodiff.concat_matmul`` is
+    compared with ``matmul(concat(parts), w)``."""
+    import numpy as np
+
+    from pcrobust.autodiff import _result
+
+    tensors = list(tensors)
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
+
+    def pullback(g):
+        return [g[..., lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    return _result(data, tensors, pullback)
+
+
+def exp(a):
+    """Autodiff op: elementwise exp, whose node keeps its output.
+    ``autodiff.entropy_rows`` is compared with the chain that uses it."""
+    import numpy as np
+
+    from pcrobust.autodiff import _result
+
+    with np.errstate(over="ignore"):  # overflow -> inf -> NonFiniteError
+        data = np.exp(a.data)
+    return _result(data, (a,), lambda g: (data * g,))

@@ -601,11 +601,12 @@ class TestConfigParsing:
             ("lambda = 0\nn_layers = 0\n", 2, "n_layers"),
             ("seed = 1\nsem_mode = channel\n", 2, "sem_mode"),
             ("optimizer = sgd\n", 1, "optimizer"),
+            ("seed = 1\nval_fraction = 0\n", 2, "val_fraction"),
         ],
         ids=["int", "float", "list", "repeated", "grid-value", "unknown", "points-0",
              "baseline-attention-sem", "nan", "inf", "minus-inf", "seed-negative",
              "data-seed-negative", "d-model-0", "d-attn-0", "group-k-0", "n-layers-0",
-             "removed-sem-mode", "removed-optimizer"],
+             "removed-sem-mode", "removed-optimizer", "val-fraction-0"],
     )
     def test_malformed_config_names_file_line_and_key(self, tmp_path, text, line, key):
         path = tmp_path / "run.cfg"

@@ -176,6 +176,27 @@ class TestTrain:
         with pytest.raises(ValueError, match="cloud 2: no label"):
             train(dataset, tiny_config())
 
+    def test_labels_with_a_missing_class_are_listed(self, monkeypatch):
+        dataset = tiny_dataset(per_class=2, classes=("sphere", "cube", "plane"))
+        dataset = [c for c in dataset if c.label != 1]
+        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        with pytest.raises(ValueError, match=r"0\.\.C-1 with C >= 2, got \[0, 2\]$"):
+            train(dataset, tiny_config())
+
+    def test_val_fraction_must_hold_out_a_fraction(self):
+        for fraction in (0.0, -0.1, 1.0):
+            with pytest.raises(ValueError, match=r"val_fraction must be in \(0, 1\)"):
+                TrainConfig(val_fraction=fraction)
+
+    def test_a_split_with_no_validation_cloud_raises_before_any_step(self, monkeypatch):
+        # round(0.1 * 4) holds out no cloud, round(0.9 * 4) trains on none
+        dataset = tiny_dataset(per_class=2)
+        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        for fraction, left in ((0.1, "validation"), (0.9, "training")):
+            with pytest.raises(ValueError, match=rf"^val_fraction = {fraction} of 4 "
+                                                 rf"clouds leaves no {left} cloud$"):
+                train(dataset, tiny_config(val_fraction=fraction))
+
     def test_infeasible_anchors_are_named_before_any_step(self, monkeypatch):
         # some 64-point clouds have fewer than 56 points of positive density weight
         dataset = tiny_dataset(per_class=4, points=64)
@@ -280,8 +301,10 @@ class TestEvaluate:
         dataset = tiny_dataset(
             per_class=5, points=64, classes=("sphere", "cube", "plane", "torus")
         )
+        params = init_model(np.random.default_rng(0), n_classes=4, m_anchors=4,
+                            d_model=4, d_attn=2, group_k=2, n_layers=1)
         stub_predict(lambda c: 0)
-        report, _ = evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=())
+        report, _ = evaluate(params, dataset, STUB_SAMPLER, kinds=())
         assert report.er_clean == 0.75
 
     def test_aggregates_recompute_from_log(self, stub_predict):
@@ -302,6 +325,20 @@ class TestEvaluate:
         dataset[1:] = [PointCloud(c.points) for c in dataset[1:]]
         stub_predict(lambda c: pytest.fail("predicted an unlabeled cloud"))
         with pytest.raises(ValueError, match="cloud 1: no label"):
+            evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("scale",))
+
+    def test_label_the_model_has_no_class_for_is_named_before_any_corruption(
+            self, stub_predict, monkeypatch):
+        module = importlib.import_module("pcrobust.evaluate")
+        monkeypatch.setattr(module, "corruption_suite",
+                            lambda *args: pytest.fail("a cloud was corrupted"))
+        stub_predict(lambda c: pytest.fail("a prediction was made"))
+        dataset = tiny_dataset(per_class=1, points=64, classes=("sphere", "plane", "cube"))
+        with pytest.raises(ValueError, match="^cloud 2: label 2 has no class in a model "
+                                             "of 2 classes$"):
+            evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("scale",))
+        dataset[2] = PointCloud(dataset[2].points, 2, "clouds/cube.xyz")
+        with pytest.raises(ValueError, match="^clouds/cube.xyz: label 2 has no class"):
             evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("scale",))
 
     def test_default_eval_seeds_and_severities(self, stub_predict):
@@ -617,16 +654,18 @@ class TestBatchedPaths:
 
     def test_train_step_matches_per_cloud_oracle(self):
         clouds = tiny_dataset(per_class=4, points=64)
-        config = tiny_config(sampler=SampleSpec(m=8, k=3), lr=0.1,
-                             epochs=1, batch_size=len(clouds), val_fraction=0.0,
+        config = tiny_config(sampler=SampleSpec(m=8, k=3), lr=0.1, epochs=1,
                              loss=LossConfig(sem_weight=0.1, sem_layers=(1, 2)))
+        n_val = int(round(config.val_fraction * len(clouds)))
+        # one step: every training cloud in one batch
+        config = dataclasses.replace(config, batch_size=len(clouds) - n_val)
         trained = train(clouds, config).params
         # train()'s draws in order: weights, split, epoch order, then anchors
         rng = np.random.default_rng(config.seed)
         params = init_model(rng, 2, m_anchors=8, d_model=16, d_attn=4, group_k=4,
                             n_layers=2)
-        order = rng.permutation(len(clouds))
-        batch = [clouds[i] for i in order[rng.permutation(len(clouds))]]
+        train_idx = rng.permutation(len(clouds))[n_val:]
+        batch = [clouds[i] for i in train_idx[rng.permutation(train_idx.size)]]
         backward(per_cloud_loss(batch, params, config, rng))
         Adam(params.tensors(), lr=config.lr).step()
         for got, want in zip(trained.tensors(), params.tensors()):
@@ -713,17 +752,18 @@ class TestBatchedPaths:
         real, made = autodiff._result, [0]
 
         def counting(*args):
-            made[0] += 1
-            return real(*args)
+            out = real(*args)
+            made[0] += out._node is not None  # the validation pass builds no node
+            return out
 
         monkeypatch.setattr(autodiff, "_result", counting)
-        dataset = tiny_dataset(per_class=8, points=48)
+        dataset = tiny_dataset(per_class=10, points=48)  # 4 held out, 16 to train on
         per_step = []
         for batch_size in (2, 8):
             made[0] = 0
-            train(dataset, tiny_config(batch_size=batch_size, epochs=1, val_fraction=0.0,
+            train(dataset, tiny_config(batch_size=batch_size, epochs=1,
                                        loss=LossConfig(sem_weight=0.1, sem_layers=(1, 2))))
-            per_step.append(made[0] / (len(dataset) // batch_size))
+            per_step.append(made[0] / (16 // batch_size))
         assert per_step[0] == per_step[1]
 
     def test_predictions_build_no_graph(self, monkeypatch):
