@@ -25,27 +25,16 @@ from .config import (
 )
 from .corruption import ALL_KINDS, SEVERITIES, CorruptionSpec, apply_corruption, corruption_suite
 from .data import gen_dataset
-from .evaluate import (
-    EVAL_SEEDS,
-    evaluate,
-    write_log_csv,
-    write_report_json,
-    write_severity_curves_csv,
-)
+from .evaluate import EVAL_SEEDS, evaluate
 from .geometry import PointCloud
 from .model import BaselineParams, load_checkpoint, save_checkpoint
 from .sampling import SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec, sample_anchors
 from .train import train
 
 
-def _usage_error(message) -> int:
-    print(message, file=sys.stderr)
-    return 2
-
-
-def _k_unread(variant) -> int:
-    return _usage_error(f"--k sets the density score's neighbour count; "
-                        f"sampler {variant} reads no k")
+def _k_unread(variant) -> ValueError:
+    return ValueError(f"--k sets the density score's neighbour count; "
+                      f"sampler {variant} reads no k")
 
 
 def cmd_sample(args) -> int:
@@ -53,15 +42,15 @@ def cmd_sample(args) -> int:
     spec = SampleSpec(m=args.m, variant=args.sampler)
     if args.k is not None:
         if spec.variant != "das-l0":
-            return _k_unread(spec.variant)
+            raise _k_unread(spec.variant)
         spec = dataclasses.replace(spec, k=args.k)
     if spec.neighbor_width > cloud.n:  # the density score reads k neighbours per point
-        return _usage_error(f"{args.input}: --k {spec.k} needs at least {spec.k + 1} "
-                            f"points, the cloud has {cloud.n}")
+        raise ValueError(f"{args.input}: --k {spec.k} needs at least {spec.k + 1} "
+                         f"points, the cloud has {cloud.n}")
     try:
         idx = sample_anchors(cloud, spec, np.random.default_rng(args.seed))
     except InfeasibleSampleError as exc:
-        return _usage_error(f"{args.input}: --m {args.m}: {exc}")
+        raise ValueError(f"{args.input}: --m {args.m}: {exc}") from exc
     Path(args.output).write_text("".join(f"{i}\n" for i in idx))
     if args.cloud_output:
         sub = PointCloud(cloud.points[idx], cloud.label)
@@ -75,15 +64,15 @@ def cmd_corrupt(args) -> int:
     if args.suite:
         for flag in ("kind", "severity", "output"):
             if getattr(args, flag) is not None:
-                return _usage_error(f"corrupt --suite writes every kind and severity "
-                                    f"under --output-dir; it takes no --{flag}")
+                raise ValueError(f"corrupt --suite writes every kind and severity "
+                                 f"under --output-dir; it takes no --{flag}")
         if not args.output_dir:
-            return _usage_error("corrupt --suite requires --output-dir")
+            raise ValueError("corrupt --suite requires --output-dir")
         name = Path(args.input).stem + ".rpc"
         try:
             suite = corruption_suite(cloud, ALL_KINDS, args.seed)
         except ValueError as exc:  # a kind the cloud is too small for
-            return _usage_error(f"{args.input}: {exc}")
+            raise ValueError(f"{args.input}: {exc}") from exc
         for spec, corrupted in suite:
             out = Path(args.output_dir) / spec.kind / str(spec.severity)
             out.mkdir(parents=True, exist_ok=True)
@@ -91,12 +80,12 @@ def cmd_corrupt(args) -> int:
         print(f"wrote {len(suite)} corrupted clouds under {args.output_dir}")
         return 0
     if not (args.kind and args.output):
-        return _usage_error("corrupt needs --kind and --output (or --suite)")
+        raise ValueError("corrupt needs --kind and --output (or --suite)")
     severity = 3 if args.severity is None else args.severity
     try:
         corrupted = apply_corruption(cloud, CorruptionSpec(args.kind, severity, args.seed))
     except ValueError as exc:
-        return _usage_error(f"{args.input}: {exc}")
+        raise ValueError(f"{args.input}: {exc}") from exc
     cloudio.write_cloud(corrupted, args.output)
     print(f"wrote {args.kind} severity {severity} to {args.output}")
     return 0
@@ -201,13 +190,13 @@ def cmd_eval(args) -> int:
     if isinstance(params, BaselineParams):
         for flag in ("sampler", "k"):
             if getattr(args, flag) is not None:
-                return _usage_error(f"--{flag} sets how anchors are drawn; {args.ckpt} "
-                                    "holds a baseline, and a baseline samples no anchors")
+                raise ValueError(f"--{flag} sets how anchors are drawn; {args.ckpt} "
+                                 "holds a baseline, and a baseline samples no anchors")
     if args.sampler is not None:
         sampler = dataclasses.replace(sampler, variant=args.sampler)
     if args.k is not None:
         if sampler.variant != "das-l0":
-            return _k_unread(sampler.variant)
+            raise _k_unread(sampler.variant)
         sampler = dataclasses.replace(sampler, k=args.k)
     dataset = load_split(args.data, "test")
     report, log = evaluate(
@@ -219,11 +208,14 @@ def cmd_eval(args) -> int:
         eval_seeds=args.eval_seeds,
         corruption_seed=args.corruption_seed,
     )
-    write_report_json(report, args.report)
+    Path(args.report).write_text(report.to_json() + "\n")
     if args.curves:
-        write_severity_curves_csv(report, args.curves)
+        write_table_csv([{"kind": kind, "severity": severity, "error_rate": error_rate}
+                         for (kind, severity), error_rate in sorted(report.per_cell.items())],
+                        args.curves)
     if args.log:
-        write_log_csv(log, args.log)
+        write_table_csv([{**dataclasses.asdict(rec), "capped": int(rec.capped)} for rec in log],
+                        args.log)
     print(
         f"er_clean={report.er_clean:.4f} er_cor={report.er_cor:.4f} "
         f"capped={sum(report.capped.values())} -> {args.report}"
@@ -309,8 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs one command. An input error (a ``ValueError``, such as a bad
+    config, file or flag combination, or an ``OSError``) is one stderr line
+    and exit status 2; anything else raises."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

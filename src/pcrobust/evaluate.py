@@ -3,16 +3,15 @@
 Every prediction lands in a flat log of records; the report (clean error
 rate, per-(kind, severity) cells, per-kind means, and the overall mean over
 kinds) is a pure recomputation from that log, so aggregates can always be
-audited from the raw predictions.
+audited from the raw predictions. ``evaluate()`` returns the report and the
+log and writes no files; the CLI writes them.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -123,10 +122,10 @@ def evaluate(
     The eval seeds of a cloud are one batch, each drawing from a fresh
     generator on its stream, on a no-grad view of the weights, and draw
     from the density weights the cloud keeps.
-    ValueError names an empty ``eval_seeds``, the first cloud without a
-    label, the first whose label the model has no class for, and an
-    attention model without a sampler. Before a cloud's first
-    prediction, TooFewPointsError names the first of its variants with
+    ValueError names an empty ``eval_seeds``, its first repeated seed, the
+    first cloud without a label, the first whose label the model has no
+    class for, and an attention model without a sampler. Before a cloud's
+    first prediction, TooFewPointsError names the first of its variants with
     fewer points than the model's groups or the sampler's neighbour table
     take. Errors name a cloud by its file,
     or by its index for an in-memory cloud. Sets the process's malloc
@@ -137,6 +136,10 @@ def evaluate(
     eval_seeds = tuple(eval_seeds)
     if not eval_seeds:
         raise ValueError("eval_seeds is empty: evaluate() needs at least one eval seed")
+    for j, seed in enumerate(eval_seeds):
+        if seed in eval_seeds[:j]:
+            raise ValueError(f"eval seed {seed} is repeated in {eval_seeds}: a seed reads "
+                             "the same stream each time, so its predictions would count twice")
     check_labeled(dataset)
     for i, cloud in enumerate(dataset):
         if not 0 <= cloud.label < params.n_classes:
@@ -167,25 +170,3 @@ def evaluate(
                                          capped=spec != sampler)
                         for seed, pred in zip(eval_seeds, preds)]
     return report_from_log(records), records
-
-
-def write_log_csv(records, path) -> None:
-    """One row per record, its fields in order, ``capped`` as 0/1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in dataclasses.fields(PredictionRecord)])
-        writer.writerows([*dataclasses.astuple(rec)[:-1], int(rec.capped)]
-                         for rec in records)
-
-
-def write_severity_curves_csv(report: EvalReport, path) -> None:
-    """Per-severity error-rate rows for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "severity", "error_rate"])
-        for (kind, severity) in sorted(report.per_cell):
-            writer.writerow([kind, severity, report.per_cell[(kind, severity)]])
-
-
-def write_report_json(report: EvalReport, path) -> None:
-    Path(path).write_text(report.to_json() + "\n")

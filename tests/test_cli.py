@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import pickle
 import re
 import subprocess
@@ -22,11 +23,13 @@ from pcrobust.config import (
     parse_flat_file,
 )
 from pcrobust.data import SyntheticDatasetSpec, derive_seed, gen_dataset
+from pcrobust.evaluate import evaluate
 from pcrobust.losses import LossConfig
-from pcrobust.model import TooFewPointsError, init_baseline, init_model, save_checkpoint
+from pcrobust.model import (TooFewPointsError, init_baseline, init_model, load_checkpoint,
+                             save_checkpoint)
 from pcrobust.sampling import (SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec,
                                anchor_candidates)
-from pcrobust.train import Adam, InfeasibleAnchorsError, TrainConfig
+from pcrobust.train import Adam, InfeasibleAnchorsError, TrainConfig, train
 
 from conftest import random_cloud
 
@@ -275,7 +278,54 @@ class TestEndToEnd:
         lines = table.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 sampler rows
 
-    def test_train_names_the_file_of_an_infeasible_cloud(self, tmp_path, monkeypatch):
+    def test_written_files_are_pinned_byte_for_byte(self, tmp_path):
+        # eval's files are rebuilt here from evaluate()'s in-memory result:
+        # csv.writer rows with CRLF line ends, and the report's JSON; with 10
+        # anchors, one test cloud's drop-global copy caps them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG.replace("sampler = fps", "sampler = das-l0")
+                       .replace("m_anchors = 8", "m_anchors = 10"))
+        data_dir = tmp_path / "data"
+        ckpt = tmp_path / "model.ckpt"
+        curve = tmp_path / "curve.csv"
+        assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt),
+                     "--data", str(data_dir), "--curve", str(curve)]) == 0
+        assert curve.read_bytes().split(b"\r\n")[0] == b"epoch,train_loss,val_error"
+
+        report, curves, log = tmp_path / "r.json", tmp_path / "er.csv", tmp_path / "log.csv"
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                     "--report", str(report), "--curves", str(curves), "--log", str(log),
+                     "--kinds", "drop-global", "--severities", "5",
+                     "--eval-seeds", "0,1"]) == 0
+        params, sampler = load_checkpoint(ckpt)
+        expected, records = evaluate(params, cli.load_split(data_dir, "test"), sampler,
+                                     kinds=("drop-global",), severities=(5,),
+                                     eval_seeds=(0, 1))
+        assert any(r.capped for r in records) and not all(r.capped for r in records)
+
+        def csv_bytes(rows):
+            buf = io.StringIO()
+            csv.writer(buf).writerows(rows)
+            return buf.getvalue().encode()
+
+        assert report.read_bytes() == (expected.to_json() + "\n").encode()
+        assert curves.read_bytes() == csv_bytes(
+            [("kind", "severity", "error_rate")]
+            + [(k, s, expected.per_cell[k, s]) for k, s in sorted(expected.per_cell)])
+        assert log.read_bytes() == csv_bytes(
+            [("cloud_index", "kind", "severity", "eval_seed", "label", "predicted", "capped")]
+            + [(r.cloud_index, r.kind, r.severity, r.eval_seed, r.label, r.predicted,
+                int(r.capped)) for r in records])
+        assert b"\r\n" in log.read_bytes()
+
+        table = tmp_path / "table.csv"
+        assert main(["ablate", "--grid", str(cfg), "--out", str(table),
+                     "--kinds", "drop-global"]) == 0
+        assert table.read_bytes().split(b"\r\n")[0] == (
+            b"sampler,sampler_k,lambda,tau,sem_layers,seed,er_clean,er_cor,capped")
+
+    def test_train_names_the_file_of_an_infeasible_cloud(self, tmp_path, monkeypatch, capsys):
         # some 48-point clouds have fewer than 40 points of positive density weight
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG.replace("m_anchors = 8", "m_anchors = 40")
@@ -283,39 +333,52 @@ class TestEndToEnd:
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
         monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
-        spec = build_train_config(parse_flat_file(cfg)).sampler
+        tc = build_train_config(parse_flat_file(cfg))
         ckpt = tmp_path / "model.ckpt"
-        tail = "m_anchors = 40 is infeasible for sampler das-l0: cannot draw"
+        tail = "m_anchors = 40 is infeasible for sampler das-l0: cannot draw 40 distinct indices"
 
-        files = sorted((data_dir / "train").glob("*.rpc"))
-        first = next(f for f in files if anchor_candidates(cloudio.read_cloud(f), spec) < 40)
+        def first_short(clouds):
+            return next((i, n) for i, n in enumerate(anchor_candidates(c, tc.sampler)
+                                                     for c in clouds) if n < 40)
+
+        clouds = cli.load_split(data_dir, "train")
+        i, available = first_short(clouds)
+        message = f"{clouds[i].source}: {tail} from {available} anchor candidates"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt),
+                     "--data", str(data_dir)]) == 2
+        assert capsys.readouterr().err == message + "\n"
         with pytest.raises(InfeasibleSampleError) as err:
-            main(["train", "--config", str(cfg), "--out", str(ckpt), "--data", str(data_dir)])
+            train(clouds, tc)
         assert isinstance(err.value, InfeasibleAnchorsError)
-        assert str(err.value).startswith(f"{first}: {tail}")
+        assert str(err.value) == message
         assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
 
         # the in-memory dataset has no files, so it names the cloud's index
         dataset = gen_dataset(build_dataset_specs(parse_flat_file(cfg))[0])
-        index = next(i for i, c in enumerate(dataset) if anchor_candidates(c, spec) < 40)
+        index, available = first_short(dataset)
+        message = f"dataset cloud {index}: {tail} from {available} anchor candidates"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+        assert capsys.readouterr().err == message + "\n"
         with pytest.raises(InfeasibleAnchorsError) as err:
-            main(["train", "--config", str(cfg), "--out", str(ckpt)])
-        assert str(err.value).startswith(f"dataset cloud {index}: {tail}")
+            train(dataset, tc)
+        assert str(err.value) == message
         assert not ckpt.exists()
 
-    def test_train_names_the_file_of_a_cloud_smaller_than_group_k(self, tmp_path):
+    def test_train_names_the_file_of_a_cloud_smaller_than_group_k(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG.replace("group_k = 4", "group_k = 50"))
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
         first = sorted((data_dir / "train").glob("*.rpc"))[0]
+        message = f"{first}: 48 points, fewer than the 50 that group_k = 50 and sampler fps read"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "model.ckpt"),
+                     "--data", str(data_dir)]) == 2
+        assert capsys.readouterr().err == message + "\n"
         with pytest.raises(TooFewPointsError) as err:
-            main(["train", "--config", str(cfg), "--out", str(tmp_path / "model.ckpt"),
-                  "--data", str(data_dir)])
-        assert str(err.value) == (f"{first}: 48 points, fewer than the 50 that "
-                                  "group_k = 50 and sampler fps read")
+            train(cli.load_split(data_dir, "train"), build_train_config(parse_flat_file(cfg)))
+        assert str(err.value) == message
 
-    def test_eval_names_the_file_of_a_variant_smaller_than_group_k(self, tmp_path):
+    def test_eval_names_the_file_of_a_variant_smaller_than_group_k(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG)
         data_dir = tmp_path / "data"
@@ -323,16 +386,21 @@ class TestEndToEnd:
         ckpt = tmp_path / "model.ckpt"
         params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8, d_model=8,
                             d_attn=4, group_k=16, n_layers=1)
-        save_checkpoint(ckpt, params, SampleSpec(m=8, variant="fps"))
+        sampler = SampleSpec(m=8, variant="fps")
+        save_checkpoint(ckpt, params, sampler)
         report = tmp_path / "r.json"
         first = sorted((data_dir / "test").glob("*.rpc"))[0]
         # drop-global keeps a quarter of the 48 points at severity 5
-        with pytest.raises(TooFewPointsError) as err:
-            main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--report",
-                  str(report), "--kinds", "drop-global", "--severities", "5"])
-        assert str(err.value) == (f"{first}, drop-global severity 5: 12 points, fewer than "
-                                  "the 16 that group_k = 16 and sampler fps read")
+        message = (f"{first}, drop-global severity 5: 12 points, fewer than "
+                   "the 16 that group_k = 16 and sampler fps read")
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--report",
+                     str(report), "--kinds", "drop-global", "--severities", "5"]) == 2
+        assert capsys.readouterr().err == message + "\n"
         assert not report.exists()
+        with pytest.raises(TooFewPointsError) as err:
+            evaluate(params, cli.load_split(data_dir, "test"), sampler,
+                     kinds=("drop-global",), severities=(5,))
+        assert str(err.value) == message
 
     def test_gen_data_deterministic(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -436,24 +504,32 @@ class TestUnlabeledDataFile:
             cloudio.write_cloud(cloud, data / f"c{i}.xyz")
         return data
 
-    def test_train_names_the_file(self, tmp_path, data_dir):
+    def test_train_names_the_file(self, tmp_path, data_dir, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG)
         out = tmp_path / "model.ckpt"
-        with pytest.raises(ValueError, match=re.escape(f"{data_dir / 'c1.xyz'}: no label")):
-            main(["train", "--config", str(cfg), "--out", str(out), "--data", str(data_dir)])
+        message = f"{data_dir / 'c1.xyz'}: no label; every cloud needs one"
+        assert main(["train", "--config", str(cfg), "--out", str(out),
+                     "--data", str(data_dir)]) == 2
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(cli.load_split(data_dir, "train"), build_train_config(parse_flat_file(cfg)))
 
-    def test_eval_names_the_file(self, tmp_path, data_dir):
+    def test_eval_names_the_file(self, tmp_path, data_dir, capsys):
         ckpt = tmp_path / "model.ckpt"
         params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
                             d_model=16, d_attn=4, group_k=4, n_layers=2)
-        save_checkpoint(ckpt, params, SampleSpec(m=8, k=5, variant="das-l0"))
+        sampler = SampleSpec(m=8, k=5, variant="das-l0")
+        save_checkpoint(ckpt, params, sampler)
         report = tmp_path / "r.json"
-        with pytest.raises(ValueError, match=re.escape(f"{data_dir / 'c1.xyz'}: no label")):
-            main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
-                  "--report", str(report)])
+        message = f"{data_dir / 'c1.xyz'}: no label; every cloud needs one"
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+                     "--report", str(report)]) == 2
+        assert capsys.readouterr().err == message + "\n"
         assert not report.exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(params, cli.load_split(data_dir, "test"), sampler)
 
 
 DAS_8_5 = SampleSpec(m=8, k=5, variant="das-l0")
@@ -522,6 +598,34 @@ class TestEvalSamplerOverride:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestEvalInputErrors:
+    @pytest.mark.parametrize("case", ["missing-ckpt", "no-clouds", "repeated-seed"])
+    def test_exits_2_with_one_named_line(self, tmp_path, capsys, case):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG)
+        data_dir, empty = tmp_path / "data", tmp_path / "empty"
+        assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
+        empty.mkdir()
+        ckpt, missing = tmp_path / "model.ckpt", tmp_path / "missing.ckpt"
+        params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8,
+                            d_model=16, d_attn=4, group_k=4, n_layers=2)
+        save_checkpoint(ckpt, params, SampleSpec(m=8, k=5, variant="das-l0"))
+        flags, message = {
+            "missing-ckpt": (["--ckpt", str(missing), "--data", str(data_dir)],
+                             f"[Errno 2] No such file or directory: '{missing}'"),
+            "no-clouds": (["--ckpt", str(ckpt), "--data", str(empty)],
+                          f"no cloud files under {empty}"),
+            "repeated-seed": (["--ckpt", str(ckpt), "--data", str(data_dir),
+                               "--eval-seeds", "0,0,1"],
+                              "eval seed 0 is repeated in (0, 0, 1): a seed reads the same "
+                              "stream each time, so its predictions would count twice"),
+        }[case]
+        report = tmp_path / "r.json"
+        assert main(["eval", *flags, "--report", str(report), "--kinds", "scale"]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not report.exists()
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         src, _ = write_cloud(tmp_path)
@@ -537,6 +641,20 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().split()) == 4
+
+    def test_config_error_exits_2_with_one_line(self, tmp_path):
+        cfg = tmp_path / "v0.cfg"
+        cfg.write_text("val_fraction = 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcrobust.cli", "train", "--config", str(cfg),
+             "--out", str(tmp_path / "model.ckpt")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"{cfg}:1: val_fraction = '0': ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert not (tmp_path / "model.ckpt").exists()
 
 
 class TestConfigParsing:
@@ -565,13 +683,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"unknown config keys \['lamda'\]"):
             build_train_config({"lamda": "0.5"})
 
-    def test_train_rejects_misspelled_key(self, tmp_path):
+    def test_train_rejects_misspelled_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG + "lamda = 0.5\n")
         ckpt = tmp_path / "model.ckpt"
-        with pytest.raises(ConfigError, match="lamda"):
-            main(["train", "--config", str(cfg), "--out", str(ckpt)])
+        message = f"{cfg}:18: unknown config keys ['lamda']"
+        assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+        assert capsys.readouterr().err == message + "\n"
         assert not ckpt.exists()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_train_config(parse_flat_file(cfg))
 
     def test_missing_keys_take_dataclass_defaults(self):
         assert build_train_config({}) == TrainConfig()
@@ -617,15 +738,18 @@ class TestConfigParsing:
             build_dataset_specs(cfg)
             build_train_config(cfg)
 
-    def test_bad_grid_cell_trains_no_cell(self, tmp_path, monkeypatch):
+    def test_bad_grid_cell_trains_no_cell(self, tmp_path, monkeypatch, capsys):
         grid = tmp_path / "grid.cfg"
         grid.write_text(TINY_CONFIG.replace("seed = 1", "seed = 0|-1"))
         trained = []
         monkeypatch.setattr(ablate, "train", lambda *args: trained.append(args))
+        axes, configs = expand_grid(parse_flat_file(grid))
         where = re.escape(f"{grid}:17: seed = '-1'")
-        with pytest.raises(ConfigError, match=rf"^{where}"):
-            main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "table.csv"),
-                  "--kinds", "scale"])
+        with pytest.raises(ConfigError, match=rf"^{where}") as err:
+            ablate.run_grid([], [], configs, axes=axes)
+        assert main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "table.csv"),
+                     "--kinds", "scale"]) == 2
+        assert capsys.readouterr().err == f"{err.value}\n"
         assert trained == []
 
     def test_malformed_dict_config_names_key(self):

@@ -27,8 +27,6 @@ from pcrobust.evaluate import (
     PredictionRecord,
     evaluate,
     report_from_log,
-    write_log_csv,
-    write_report_json,
 )
 from pcrobust.geometry import PointCloud
 from pcrobust.losses import LossConfig, attention_sem_loss
@@ -264,6 +262,18 @@ class TestEvaluate:
             evaluate(STUB_PARAMS, tiny_dataset(per_class=1, points=64), STUB_SAMPLER,
                      eval_seeds=())
 
+    def test_repeated_eval_seed_is_named_before_any_corruption(self, stub_predict,
+                                                               monkeypatch):
+        # a repeated seed reads the same stream, so it would count the same
+        # predictions twice in every mean
+        module = importlib.import_module("pcrobust.evaluate")
+        monkeypatch.setattr(module, "corruption_suite",
+                            lambda *args: pytest.fail("a cloud was corrupted"))
+        stub_predict(lambda c: pytest.fail("a prediction was made"))
+        with pytest.raises(ValueError, match=r"^eval seed 0 is repeated in \(0, 0, 1\)"):
+            evaluate(STUB_PARAMS, tiny_dataset(per_class=1, points=64), STUB_SAMPLER,
+                     eval_seeds=[0, 0, 1])
+
     def test_attention_model_without_a_sampler_is_named_before_any_corruption(
             self, stub_predict, monkeypatch):
         module = importlib.import_module("pcrobust.evaluate")
@@ -409,15 +419,12 @@ class TestEvaluate:
         assert len(table_builds) == variants
         assert len({id(points) for points in table_builds}) == variants
 
-    def test_report_json(self, tmp_path):
+    def test_report_json(self):
         records = [
             PredictionRecord(0, "clean", 0, 0, 1, 1),
             PredictionRecord(0, "scale", 1, 0, 1, 0),
         ]
-        report = report_from_log(records)
-        path = tmp_path / "report.json"
-        write_report_json(report, path)
-        text = path.read_text()
+        text = report_from_log(records).to_json()
         assert '"er_clean": 0.0' in text
         assert '"scale"' in text
 
@@ -509,7 +516,7 @@ class TestCappedAnchors:
     def test_log_csv_has_capped_column(self, default_run, tmp_path):
         _, _, report, log, _, _ = default_run
         path = tmp_path / "log.csv"
-        write_log_csv(log, path)
+        write_table_csv([{**dataclasses.asdict(r), "capped": int(r.capped)} for r in log], path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["capped"] for row in rows] == [str(int(r.capped)) for r in log]
