@@ -32,6 +32,14 @@ from .sampling import SAMPLER_VARIANTS, InfeasibleSampleError, SampleSpec, sampl
 from .train import train
 
 
+def _check_outputs(args, *flags) -> None:
+    """ValueError naming the first of these output flags whose directory does not exist."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"--{flag} {path}: directory {Path(path).parent} does not exist")
+
+
 def _k_unread(variant) -> ValueError:
     return ValueError(f"--k sets the density score's neighbour count; "
                       f"sampler {variant} reads no k")
@@ -129,6 +137,7 @@ def load_split(data_dir, split: str):
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args, "out", "curve")
     cfg = parse_flat_file(args.config)
     tc = build_train_config(cfg)
     if args.data:
@@ -186,6 +195,7 @@ _SEVERITIES = _comma_list(_among(SEVERITIES),
 
 
 def cmd_eval(args) -> int:
+    _check_outputs(args, "report", "curves", "log")
     params, sampler = load_checkpoint(args.ckpt)
     if isinstance(params, BaselineParams):
         for flag in ("sampler", "k"):
@@ -224,6 +234,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_outputs(args, "out")
     cfg = parse_flat_file(args.grid)
     axes, configs = expand_grid(cfg)
     train_spec, test_spec = build_dataset_specs(cfg)

@@ -125,11 +125,12 @@ def evaluate(
     ValueError names an empty ``eval_seeds``, its first repeated seed, the
     first cloud without a label, the first whose label the model has no
     class for, and an attention model without a sampler. Before a cloud's
-    first prediction, TooFewPointsError names the first of its variants with
-    fewer points than the model's groups or the sampler's neighbour table
-    take. Errors name a cloud by its file,
-    or by its index for an in-memory cloud. Sets the process's malloc
-    thresholds so freed arrays stay in the heap (``autodiff._keep_freed_arrays``).
+    first prediction, ValueError names a cloud too small for a corruption
+    kind, and TooFewPointsError the first of its variants with fewer points
+    than the model's groups or the sampler's neighbour table take. Errors
+    name a cloud by its file, or by its index for an in-memory cloud. Sets the
+    process's malloc thresholds so freed arrays stay in the heap
+    (``autodiff._keep_freed_arrays``).
     Returns (EvalReport, prediction log).
     """
     _keep_freed_arrays()
@@ -153,13 +154,17 @@ def evaluate(
     params = params.no_grad()
     records = []
     for i, cloud in enumerate(dataset):
-        suite = corruption_suite(cloud, kinds, derive_seed(corruption_seed, "cloud", i),
-                                 severities)
+        name = cloud.source or f"cloud {i}"
+        try:
+            suite = corruption_suite(cloud, kinds, derive_seed(corruption_seed, "cloud", i),
+                                     severities)
+        except ValueError as exc:  # a kind the cloud is too small for
+            raise ValueError(f"{name}: {exc}") from exc
         variants = [(CLEAN, 0, cloud)] + [(s.kind, s.severity, c) for s, c in suite]
         specs = [sampler] * len(variants)
         for j, (kind, severity, variant) in enumerate(variants):
             if not baseline:
-                where = f"{cloud.source or f'cloud {i}'}, {kind} severity {severity}"
+                where = f"{name}, {kind} severity {severity}"
                 available = checked_candidates(variant, params.group_k, sampler, where, i)
                 if available < sampler.m:
                     specs[j] = dataclasses.replace(sampler, m=available)

@@ -68,14 +68,17 @@ class AttentionLayerParams(_Params):
     w_v: Tensor
 
 
-@dataclass
-class ModelParams(_Params):
-    """All learnable weights of the attention classifier."""
+class _Classifier(_Params):
+    @property
+    def n_classes(self) -> int:
+        return self.head_b2.data.size
 
-    n_classes: int
+
+@dataclass
+class ModelParams(_Classifier):
+    """All learnable weights of the attention classifier; each width is a tensor's shape."""
+
     m_anchors: int
-    d_model: int
-    d_attn: int
     group_k: int
     embed_w1: Tensor
     embed_b1: Tensor
@@ -92,13 +95,15 @@ class ModelParams(_Params):
     def n_layers(self) -> int:
         return len(self.layers)
 
+    @property
+    def d_attn(self) -> int:
+        return self.layers[0].w_q.data.shape[1]
+
 
 @dataclass
-class BaselineParams(_Params):
+class BaselineParams(_Classifier):
     """Per-point MLP baseline: shared point MLP, max pool, head."""
 
-    n_classes: int
-    d_feat: int
     point_w1: Tensor
     point_b1: Tensor
     point_w2: Tensor
@@ -143,10 +148,10 @@ def init_model(
     d_attn: int = 16,
     group_k: int = 8,
     n_layers: int = 4,
-    head_hidden: int | None = None,
 ) -> ModelParams:
+    """Random weights; the head's hidden width is ``max(2, d_model // 2)``."""
     d = d_model
-    hh = head_hidden if head_hidden is not None else max(2, d // 2)
+    hh = max(2, d // 2)
     layers = [
         AttentionLayerParams(
             w_q=_param(rng, (d, d_attn), 1.0 / math.sqrt(d)),
@@ -156,10 +161,7 @@ def init_model(
         for _ in range(n_layers)
     ]
     return ModelParams(
-        n_classes=n_classes,
         m_anchors=m_anchors,
-        d_model=d,
-        d_attn=d_attn,
         group_k=group_k,
         embed_w1=_param(rng, (6, d), math.sqrt(2.0 / 6)),
         embed_b1=_zeros(d),
@@ -174,22 +176,16 @@ def init_model(
     )
 
 
-def init_baseline(
-    rng: np.random.Generator,
-    n_classes: int,
-    hidden: int = 64,
-    d_feat: int = 64,
-    head_hidden: int | None = None,
-) -> BaselineParams:
-    hh = head_hidden if head_hidden is not None else max(2, d_feat // 2)
+def init_baseline(rng: np.random.Generator, n_classes: int, d_model: int = 64) -> BaselineParams:
+    """Random weights; ``d_model`` is the point MLP's hidden and feature width,
+    ``max(2, d_model // 2)`` the head's hidden width."""
+    hh = max(2, d_model // 2)
     return BaselineParams(
-        n_classes=n_classes,
-        d_feat=d_feat,
-        point_w1=_param(rng, (3, hidden), math.sqrt(2.0 / 3)),
-        point_b1=_zeros(hidden),
-        point_w2=_param(rng, (hidden, d_feat), math.sqrt(2.0 / hidden)),
-        point_b2=_zeros(d_feat),
-        head_w1=_param(rng, (d_feat, hh), math.sqrt(2.0 / d_feat)),
+        point_w1=_param(rng, (3, d_model), math.sqrt(2.0 / 3)),
+        point_b1=_zeros(d_model),
+        point_w2=_param(rng, (d_model, d_model), math.sqrt(2.0 / d_model)),
+        point_b2=_zeros(d_model),
+        head_w1=_param(rng, (d_model, hh), math.sqrt(2.0 / d_model)),
         head_b1=_zeros(hh),
         head_w2=_param(rng, (hh, n_classes), math.sqrt(2.0 / hh)),
         head_b2=_zeros(n_classes),
@@ -374,23 +370,12 @@ def save_checkpoint(path, params, sampler: SampleSpec) -> None:
     """Serialize parameters and the training-time sampler to one file."""
     if isinstance(params, ModelParams):
         arch = _ARCH_ATTENTION
-        header = [
-            params.n_classes,
-            params.m_anchors,
-            params.d_model,
-            params.d_attn,
-            params.group_k,
-            params.n_layers,
-            params.head_b1.data.size,
-        ]
+        header = [params.n_classes, params.m_anchors, params.embed_b1.data.size, params.d_attn,
+                  params.group_k, params.n_layers, params.head_b1.data.size]
     elif isinstance(params, BaselineParams):
         arch = _ARCH_BASELINE
-        header = [
-            params.n_classes,
-            params.d_feat,
-            params.point_b1.data.size,
-            params.head_b1.data.size,
-        ]
+        header = [params.n_classes, params.point_b2.data.size, params.point_b1.data.size,
+                  params.head_b1.data.size]
     else:
         raise TypeError(f"cannot checkpoint {type(params).__name__}")
     blob = [CHECKPOINT_MAGIC, struct.pack("<I", arch)]
@@ -428,8 +413,8 @@ class CheckpointFormatError(FormatError):
 
 
 def _checkpoint_shapes(arch, header) -> list:
-    """The tensor shapes ``init_model``/``init_baseline`` build from a
-    checkpoint header, in ``tensors()`` order, without allocating them."""
+    """The tensor shapes a checkpoint header gives, in ``tensors()`` order,
+    without allocating them."""
     if arch == _ARCH_ATTENTION:
         n_classes, _, d, d_attn, _, n_layers, hh = header
         embed = [(6, d), (d,), (d, d), (d,)]
@@ -445,8 +430,10 @@ def load_checkpoint(path):
     """Returns (params, sampler spec recorded at save time).
 
     The stored tensors are read first, so memory stays bounded by the
-    file's size; their count and shapes must then be the ones
-    ``init_model``/``init_baseline`` build from the header's fields.
+    file's size; their count and shapes must then be the ones the header's
+    fields give. The parameters are built from those tensors, as writable
+    float64 copies that require gradients: the header adds only
+    ``m_anchors`` and ``group_k``, and no template is drawn.
     Raises CheckpointFormatError for a bad magic, an unknown arch or
     sampler code, a removed sampler, a sampler m or k of 0, a zero header
     field, a truncated file, trailing bytes, a tensor count or shape other
@@ -496,14 +483,11 @@ def load_checkpoint(path):
             )
         if not np.isfinite(data).all():
             raise CheckpointFormatError(path, f"tensor {i} has non-finite values")
-    # the shapes match, so the template is no larger than the file; its
-    # initial values are only placeholders for the stored ones
-    rng = np.random.default_rng(0)
-    if arch == _ARCH_ATTENTION:
-        params = init_model(rng, *header)
-    else:
-        n_classes, d_feat, hidden, head_hidden = header
-        params = init_baseline(rng, n_classes, hidden, d_feat, head_hidden)
-    for t, (dims, data) in zip(params.tensors(), stored):
-        t.data = data.reshape(dims).astype(np.float64)
-    return params, sampler
+    tensors = [Tensor(data.reshape(dims).astype(np.float64), requires_grad=True)
+               for dims, data in stored]
+    if arch == _ARCH_BASELINE:
+        return BaselineParams(*tensors), sampler
+    _, m_anchors, _, _, group_k, n_layers, _ = header
+    layers = [AttentionLayerParams(*tensors[i:i + 3]) for i in range(4, 4 + 3 * n_layers, 3)]
+    return ModelParams(m_anchors, group_k, *tensors[:4], layers,
+                       *tensors[4 + 3 * n_layers:]), sampler

@@ -195,8 +195,7 @@ def train(dataset, config: TrainConfig) -> TrainResult:
             n_layers=config.n_layers,
         )
     else:
-        params = init_baseline(rng, n_classes, hidden=config.d_model,
-                               d_feat=config.d_model)
+        params = init_baseline(rng, n_classes, d_model=config.d_model)
 
     order = rng.permutation(len(dataset))
     val_idx, train_idx = order[:n_val], order[n_val:]

@@ -75,7 +75,7 @@ def _eval_record(arch: str) -> dict:
     _, test_spec = build_dataset_specs(cfg)
     rng = np.random.default_rng(WEIGHTS_SEED)
     if arch == "baseline":
-        params = init_baseline(rng, 2, hidden=tc.d_model, d_feat=tc.d_model)
+        params = init_baseline(rng, 2, d_model=tc.d_model)
     else:
         params = init_model(rng, 2, m_anchors=tc.sampler.m, d_model=tc.d_model,
                             d_attn=tc.d_attn, group_k=tc.group_k, n_layers=tc.n_layers)

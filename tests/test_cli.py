@@ -158,6 +158,52 @@ class TestInputTooSmall:
         assert rc == 2 and not Path(flags[-1]).exists()
         assert err.startswith(f"{src}: ") and "requires N >= 32, got N=10" in err
 
+    def test_eval(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        src = data_dir / "small.xyz"
+        cloudio.write_cloud(random_cloud(5, n=24, label=0), src)
+        ckpt, report = tmp_path / "model.ckpt", tmp_path / "r.json"
+        params = init_model(np.random.default_rng(0), n_classes=2, m_anchors=8, d_model=8,
+                            d_attn=4, group_k=4, n_layers=1)
+        save_checkpoint(ckpt, params, SampleSpec(m=8, variant="fps"))
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir), "--report",
+                   str(report), "--kinds", "drop-global"])
+        assert rc == 2 and not report.exists()
+        assert capsys.readouterr().err == f"{src}: drop-global requires N >= 32, got N=24\n"
+
+
+class TestOutputDirectories:
+    """An output whose directory does not exist ends the command, exit 2,
+    before it reads a config, a checkpoint or data."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out"), ("train", "--curve"), ("eval", "--report"), ("eval", "--curves"),
+        ("eval", "--log"), ("ablate", "--out"),
+    ])
+    def test_checked_before_any_work(self, tmp_path, monkeypatch, capsys, command, flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} did work before checking {flag}")
+
+        for name in ("parse_flat_file", "load_checkpoint", "load_split", "gen_dataset",
+                     "train", "evaluate", "run_grid"):
+            monkeypatch.setattr(cli, name, no_work)
+        ok = {name: str(tmp_path / name) for name in ("m.ckpt", "c.csv", "r.json", "l.csv")}
+        argv = {
+            "train": ["train", "--config", "run.cfg", "--out", ok["m.ckpt"],
+                      "--curve", ok["c.csv"]],
+            "eval": ["eval", "--ckpt", "m.ckpt", "--data", "data", "--report", ok["r.json"],
+                     "--curves", ok["c.csv"], "--log", ok["l.csv"]],
+            "ablate": ["ablate", "--grid", "grid.cfg", "--out", ok["c.csv"]],
+        }[command]
+        bad = tmp_path / "nodir" / "out.file"
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"{flag} {bad}: directory {bad.parent} does not exist\n")
+        assert not bad.parent.exists()
+        assert not any(tmp_path.iterdir())
+
 
 class TestCorruptCommand:
     def test_single(self, tmp_path):
@@ -591,7 +637,7 @@ class TestEvalSamplerOverride:
     @pytest.mark.parametrize("flags", [["--sampler", "fps"], ["--k", "2"]],
                              ids=["sampler", "k"])
     def test_baseline_takes_no_sampler_flag(self, run_eval, tmp_path, flags, capsys):
-        baseline = init_baseline(np.random.default_rng(0), 2, hidden=16, d_feat=16)
+        baseline = init_baseline(np.random.default_rng(0), 2, d_model=16)
         assert run_eval(DAS_8_5, flags, baseline) == (2, [])
         err = capsys.readouterr().err
         assert err.startswith(f"{flags[0]} ") and "a baseline samples no anchors" in err
@@ -655,6 +701,19 @@ class TestConsoleScript:
         assert proc.stderr.startswith(f"{cfg}:1: val_fraction = '0': ")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert not (tmp_path / "model.ckpt").exists()
+
+    def test_package_import_loads_no_cli_module(self):
+        # every ``import pcrobust`` pays for the modules it loads; the CLI
+        # and the grid runner serve the console script alone
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pcrobust; print(*sorted(sys.modules))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "pcrobust.model" in loaded
+        assert "pcrobust.cli" not in loaded and "pcrobust.ablate" not in loaded
 
 
 class TestConfigParsing:

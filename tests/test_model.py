@@ -13,6 +13,7 @@ from pcrobust.corruption import CorruptionSpec, apply_corruption
 from pcrobust.geometry import PointCloud, normalize_unit_sphere
 from pcrobust.model import (
     AttentionLayerParams,
+    BaselineParams,
     CheckpointFormatError,
     checked_candidates,
     forward,
@@ -453,7 +454,7 @@ class TestNeighborTableReuse:
 
 class TestBaseline:
     def test_exact_permutation_invariance(self):
-        params = init_baseline(np.random.default_rng(0), n_classes=4, hidden=8, d_feat=8)
+        params = init_baseline(np.random.default_rng(0), n_classes=4, d_model=8)
         cloud = random_cloud(9, n=30)
         permuted = PointCloud(cloud.points[np.random.default_rng(1).permutation(30)])
         a = forward(cloud, params)
@@ -461,7 +462,7 @@ class TestBaseline:
         assert np.array_equal(a.logits.data, b.logits.data)
 
     def test_forward_is_the_network_on_the_points(self):
-        params = init_baseline(np.random.default_rng(4), n_classes=3, hidden=6, d_feat=6)
+        params = init_baseline(np.random.default_rng(4), n_classes=3, d_model=6)
         cloud = random_cloud(11, n=20)
         trace = forward(cloud, params)
         assert trace.anchors is None
@@ -470,7 +471,7 @@ class TestBaseline:
         assert points is cloud.points and anchors is None
 
     def test_single_point_pool_is_identity(self):
-        params = init_baseline(np.random.default_rng(2), n_classes=2, hidden=4, d_feat=4)
+        params = init_baseline(np.random.default_rng(2), n_classes=2, d_model=4)
         cloud = PointCloud([[0.1, 0.2, 0.3]])
         trace = forward(cloud, params)
         # the pool of one point's features is those features
@@ -483,7 +484,7 @@ class TestBaseline:
         assert trace.attention_maps == []
 
     def test_gradient(self):
-        params = init_baseline(np.random.default_rng(3), n_classes=3, hidden=6, d_feat=6)
+        params = init_baseline(np.random.default_rng(3), n_classes=3, d_model=6)
         cloud = random_cloud(10, n=12)
 
         def f(t):
@@ -505,6 +506,23 @@ class TestMiniatureGradient:
         assert err <= 1e-4, f"worst {name}: {err}"
 
 
+def random_tensors(rng, *shapes):
+    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+
+def wide_head(rng):
+    """A head width of 9, which ``init_model`` does not make for d_model 6."""
+    head = random_tensors(rng, (6, 9), (9,), (9, 3))
+    return replace(init_model(rng, 3, d_model=6, d_attn=2, n_layers=2),
+                   **dict(zip(("head_w1", "head_b1", "head_w2"), head)))
+
+
+def unequal_baseline_widths(rng):
+    """Hidden width 6 and feature width 7, which ``init_baseline`` does not make."""
+    return BaselineParams(*random_tensors(rng, (3, 6), (6,), (6, 7), (7,), (7, 11), (11,),
+                                          (11, 5), (5,)))
+
+
 class TestCheckpoint:
     def test_attention_round_trip(self, tmp_path):
         params = mini_params(11)
@@ -520,12 +538,12 @@ class TestCheckpoint:
             assert np.array_equal(a.data, b.data)
 
     def test_baseline_round_trip(self, tmp_path):
-        params = init_baseline(np.random.default_rng(4), n_classes=5, hidden=6, d_feat=7)
+        params = init_baseline(np.random.default_rng(4), n_classes=5, d_model=6)
         path = tmp_path / "baseline.ckpt"
         save_checkpoint(path, params, SampleSpec(m=1))
         loaded, _ = load_checkpoint(path)
+        assert isinstance(loaded, BaselineParams)
         assert loaded.n_classes == 5
-        assert loaded.d_feat == 7
         for a, b in zip(params.tensors(), loaded.tensors()):
             assert np.array_equal(a.data, b.data)
 
@@ -533,8 +551,10 @@ class TestCheckpoint:
         "make",
         [
             lambda rng: init_model(rng, 2, 5, d_model=7, d_attn=3, group_k=2, n_layers=1),
-            lambda rng: init_model(rng, 4, d_model=6, d_attn=5, n_layers=3, head_hidden=9),
-            lambda rng: init_baseline(rng, 3, hidden=5, d_feat=4, head_hidden=11),
+            lambda rng: init_model(rng, 4, d_model=6, d_attn=5, n_layers=3),
+            lambda rng: init_baseline(rng, 3, d_model=5),
+            wide_head,
+            unequal_baseline_widths,
         ],
     )
     def test_round_trip_other_shapes(self, tmp_path, make):
@@ -542,11 +562,38 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, SampleSpec(m=1))
         loaded, _ = load_checkpoint(path)
+        assert type(loaded) is type(params)
+        assert loaded.n_classes == params.n_classes
         assert [t.data.shape for t in loaded.tensors()] == [
             t.data.shape for t in params.tensors()
         ]
         for a, b in zip(params.tensors(), loaded.tensors()):
             assert np.array_equal(a.data, b.data)
+
+    def test_load_builds_the_params_from_the_file_alone(self, tmp_path, monkeypatch):
+        saved = []
+        for i, params in enumerate((mini_params(17, group_k=3),
+                                    init_baseline(np.random.default_rng(7), 4, d_model=6))):
+            path = tmp_path / f"{i}.ckpt"
+            save_checkpoint(path, params, SampleSpec(m=8))
+            saved.append((path, params))
+
+        def no_template(*args, **kwargs):
+            raise AssertionError("load_checkpoint built a template")
+
+        monkeypatch.setattr(model, "init_model", no_template)
+        monkeypatch.setattr(model, "init_baseline", no_template)
+        monkeypatch.setattr(np.random, "default_rng", no_template)
+        for path, params in saved:
+            loaded, _ = load_checkpoint(path)
+            assert type(loaded) is type(params)
+            for a, b in zip(params.tensors(), loaded.tensors()):
+                assert np.array_equal(a.data, b.data)
+                assert b.data.dtype == np.float64 and b.data.flags.writeable
+                assert b.requires_grad and b.grad is None
+        attention = load_checkpoint(saved[0][0])[0]
+        assert (attention.m_anchors, attention.group_k, attention.d_attn) == (8, 3, 4)
+        assert attention.n_layers == 4
 
     def test_save_syncs_before_replace(self, tmp_path, monkeypatch):
         calls = []

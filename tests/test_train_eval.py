@@ -351,6 +351,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^clouds/cube.xyz: label 2 has no class"):
             evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("scale",))
 
+    def test_cloud_too_small_for_a_corruption_is_named(self, stub_predict):
+        stub_predict(lambda c: c.label)
+        dataset = tiny_dataset(per_class=1, points=64)
+        dataset[1] = PointCloud(dataset[1].points[:24], dataset[1].label)
+        with pytest.raises(ValueError) as err:
+            evaluate(STUB_PARAMS, dataset, STUB_SAMPLER, kinds=("drop-global",))
+        assert str(err.value) == "cloud 1: drop-global requires N >= 32, got N=24"
+
     def test_default_eval_seeds_and_severities(self, stub_predict):
         dataset = tiny_dataset(per_class=1, points=64)
         stub_predict(lambda c: c.label)
@@ -624,7 +632,7 @@ def _grid_params(arch="attention"):
     """Untrained weights for the three classes of ``_grid_clouds``."""
     rng = np.random.default_rng(3)
     if arch == "baseline":
-        return init_baseline(rng, n_classes=3, hidden=8, d_feat=8)
+        return init_baseline(rng, n_classes=3, d_model=8)
     return init_model(rng, n_classes=3, m_anchors=64, d_model=8, d_attn=4, group_k=4,
                       n_layers=2)
 
