@@ -2,21 +2,22 @@
 
 Tensors wrap float64 numpy arrays. Every op makes one call,
 ``_result(data, parents, pullback)``, which gives a result that needs a
-gradient a private graph node: its gradient, its pullback and its
-parents' nodes, where a leaf that requires a gradient is its own node.
+gradient a private graph node: its pullback and its parents' nodes,
+where a leaf that requires a gradient is its own node.
 ``pullback(g)`` is a pure function of the output gradient that returns
 one gradient per parent, in parent order, and mutates nothing
 (``linear`` returns None for a constant input). It holds no op result's
 Tensor, only the arrays it reads (shapes, for ``tsum`` and ``mean``), so
 a result's array is freed once its caller drops the Tensor unless a
 pullback reads it, and a dropped graph is freed by reference counting
-alone. ``backward`` alone accumulates the gradients into the parents that
-require them, in the deterministic reverse topological order of
-construction, and consumes the graph: an interior node drops its
-pullback (so the arrays it read) and gradient once the pullback has run,
-and a second call over the same graph raises ValueError. Accumulation is
-out of place (``grad + g``, never ``grad += g``) because a pullback may
-hand the same array, or views of it, to several parents, as ``add`` does.
+alone. No tensor or node stores a gradient: ``backward`` accumulates them
+in one local dict keyed by node, in the deterministic reverse topological
+order of construction, and returns the leaves'. It consumes the graph:
+an interior node's gradient leaves the dict and the node drops its
+pullback (so the arrays it read) once the pullback has run, and a second
+call over the same graph raises ValueError. Accumulation is out of place
+(``prev + g``, never ``prev += g``) because a pullback may hand the same
+array, or views of it, to several parents, as ``add`` does.
 
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
@@ -50,16 +51,16 @@ class NonFiniteError(ArithmeticError):
 
 
 class _Node:
-    """An op result's gradient, pullback and parents' nodes (None if constant)."""
+    """An op result's pullback and parents' nodes (None if constant)."""
 
-    __slots__ = ("grad", "pullback", "parents")
+    __slots__ = ("pullback", "parents")
 
     def __init__(self, pullback, parents):
-        self.grad, self.pullback, self.parents = None, pullback, parents
+        self.pullback, self.parents = pullback, parents
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
     pullback, parents = None, ()  # a leaf that requires a gradient is its own node
 
     def __init__(self, data, requires_grad: bool = False):
@@ -67,15 +68,11 @@ class Tensor:
         if not np.isfinite(arr).all():
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
-        self.grad = None
         self.requires_grad = requires_grad
         self._node = None
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
 
 def _result(data: np.ndarray, parents, pullback) -> Tensor:
@@ -83,7 +80,6 @@ def _result(data: np.ndarray, parents, pullback) -> Tensor:
         raise NonFiniteError("operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     nodes = tuple([(p._node or p) if p.requires_grad else None for p in parents])
     out.requires_grad = any(nodes)
     out._node = _Node(pullback, nodes) if out.requires_grad else None
@@ -93,8 +89,8 @@ def _result(data: np.ndarray, parents, pullback) -> Tensor:
 def backward(loss: Tensor):
     """Backpropagate from a scalar; returns {leaf tensor: gradient array}.
 
-    Consumes the graph, so afterwards only leaves hold a gradient and no
-    op result's array is kept; a second call raises ValueError.
+    Consumes the graph, so no op result's array or gradient is kept
+    afterwards; a second call raises ValueError.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -116,16 +112,15 @@ def backward(loss: Tensor):
         for p in node.parents:
             if p is not None and id(p) not in visited:
                 stack.append((p, False))
-    leaves = [t for t in order if t.pullback is None]
-    root.grad = np.ones(())
+    grads = {root: np.ones(())}
     for node in reversed(order):
         if node.pullback is None:
             continue
-        for p, g in zip(node.parents, node.pullback(node.grad)):
+        for p, g in zip(node.parents, node.pullback(grads.pop(node))):
             if p is not None:
-                p.grad = g if p.grad is None else p.grad + g
-        node.grad = node.pullback = None
-    return {t: t.grad for t in leaves}
+                grads[p] = grads[p] + g if p in grads else g
+        node.pullback = None
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .config import (
     expand_grid,
     parse_flat_file,
 )
-from .corruption import ALL_KINDS, SEVERITIES, CorruptionSpec, apply_corruption, corruption_suite
+from .corruption import ALL_KINDS, SEVERITIES, corruption_suite
 from .data import gen_dataset
 from .evaluate import EVAL_SEEDS, evaluate
 from .geometry import PointCloud
@@ -91,7 +91,7 @@ def cmd_corrupt(args) -> int:
         raise ValueError("corrupt needs --kind and --output (or --suite)")
     severity = 3 if args.severity is None else args.severity
     try:
-        corrupted = apply_corruption(cloud, CorruptionSpec(args.kind, severity, args.seed))
+        [(_, corrupted)] = corruption_suite(cloud, (args.kind,), args.seed, (severity,))
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
     cloudio.write_cloud(corrupted, args.output)

@@ -27,9 +27,12 @@ class FormatError(ValueError):
     """A file that cannot be read; names the path and the reason."""
 
     def __init__(self, path, reason: str):
-        super().__init__(f"{path}: {reason}")
+        super().__init__(path, reason)  # the constructor's args, so pickle rebuilds it
         self.path = path
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.reason}"
 
 
 class CloudFormatError(FormatError):

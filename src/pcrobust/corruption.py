@@ -2,8 +2,12 @@
 
 Severity schedules live in one table (SCHEDULE) so they can be retuned
 without touching the generators. Base randomness is drawn independently of
-the severity level, so for a fixed seed the corruption's magnitude statistic
-(noise scale, removed/added count, rotation angle) is nondecreasing in s.
+the severity level, so for one ``CorruptionSpec`` seed the magnitude
+statistic (noise scale, removed/added count, rotation angle) is
+nondecreasing in s. ``corruption_suite`` (so ``evaluate()``) seeds each
+(kind, severity) cell on its own, so there only counts and noise scales
+must rise: a cloud's severity-5 rotation or scale can be milder than its
+severity-4 one.
 """
 
 from __future__ import annotations

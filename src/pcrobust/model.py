@@ -40,10 +40,6 @@ class _Params:
                 out.extend(t for layer in value for t in layer.tensors())
         return out
 
-    def zero_grad(self):
-        for t in self.tensors():
-            t.zero_grad()
-
     def copy(self):
         return self._map(lambda t: Tensor(np.array(t.data), requires_grad=True))
 

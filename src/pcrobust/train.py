@@ -4,14 +4,14 @@ The loop is a single sequential pass (deterministic per seed): shuffled
 minibatches, each cloud's network input (``network_input``: anchors drawn
 and grouped, or the baseline's points) in batch order, then one graph per
 minibatch over the stacked inputs, mean batch loss = classification +
-weighted self-entropy term, one Adam step per batch. A cloud keeps
-its neighbour table, density weights and FPS anchors, so every epoch and
-every validation pass reuses them. Before the first step every cloud is
-checked for enough points to group and at least m anchor candidates.
-A fixed fraction of the clouds, at least one, is held out per seed and
-predicted after every epoch on a no-grad view of the weights, which builds
-no graph; the parameters of the epoch with the lowest validation error
-rate are returned.
+weighted self-entropy term, one Adam step per batch on the gradients
+``backward`` returns, dropped after the step. A cloud keeps its neighbour
+table, density weights and FPS anchors, which every epoch and validation
+pass reuse. Before the first step every cloud is checked for enough points
+to group and at least m anchor candidates. A fixed fraction of the clouds,
+at least one, is held out per seed and predicted after every epoch on a
+no-grad view of the weights, which builds no graph; the parameters of the
+epoch with the lowest validation error rate are returned.
 """
 
 from __future__ import annotations
@@ -107,12 +107,12 @@ class Adam:
         self.v = [np.zeros_like(t.data) for t in self.tensors]
         self.t = 0
 
-    def step(self):
+    def step(self, grads):
         self.t += 1
         correction1 = 1 - ADAM_BETA1**self.t
         correction2 = 1 - ADAM_BETA2**self.t
         for p, m, v in zip(self.tensors, self.m, self.v):
-            g = p.grad if p.grad is not None else 0.0
+            g = grads.get(p, 0.0)
             m *= ADAM_BETA1
             m += (1 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -209,16 +209,16 @@ def train(dataset, config: TrainConfig) -> TrainResult:
         epoch_losses = []
         for start in range(0, epoch_order.size, config.batch_size):
             batch = [dataset[i] for i in epoch_order[start : start + config.batch_size]]
-            params.zero_grad()
             try:
                 batch_loss = minibatch_loss(batch, params, config, [rng] * len(batch))
-                ad.backward(batch_loss)
+                grads = ad.backward(batch_loss)
             except NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch index {start}: {exc}"
                 ) from exc
             epoch_losses.append(batch_loss.item())
-            opt.step()
+            opt.step(grads)
+            del grads  # not alive through the next forward
 
         val_err = _error_rate(
             [dataset[i] for i in val_idx],

@@ -136,8 +136,9 @@ def per_cloud_evaluate(params, dataset, sampler, kinds, severities, eval_seeds,
 
 def keeping_backward(loss):
     """``autodiff.backward`` as it was before interior gradients were
-    released: the same visiting order and accumulation, but every node,
-    interior or leaf, keeps its gradient. Returns {leaf: gradient}."""
+    released: the same visiting order and accumulation, but the dict keeps
+    every node's gradient, interior or leaf, to the end, and no node drops
+    its pullback. Returns {leaf: gradient}."""
     import numpy as np
 
     root = loss._node or loss
@@ -153,13 +154,13 @@ def keeping_backward(loss):
         stack.append((node, True))
         stack.extend((p, False) for p in node.parents
                      if p is not None and id(p) not in visited)
-    root.grad = np.ones(())
+    grads = {root: np.ones(())}
     for node in reversed(order):
         if node.pullback is not None:
-            for p, g in zip(node.parents, node.pullback(node.grad)):
+            for p, g in zip(node.parents, node.pullback(grads[node])):
                 if p is not None:
-                    p.grad = g if p.grad is None else p.grad + g
-    return {t: t.grad for t in order if t.pullback is None}
+                    grads[p] = grads[p] + g if p in grads else g
+    return {t: g for t, g in grads.items() if t.pullback is None}
 
 
 def embed_chain(feats, w1, b1, w2, b2):

@@ -232,6 +232,16 @@ class TestCorruptCommand:
         for rel in files1:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()
 
+    def test_single_is_the_suite_cell_of_the_same_seed(self, tmp_path):
+        src, _ = write_cloud(tmp_path, n=64)
+        single, suite = tmp_path / "single.rpc", tmp_path / "suite"
+        assert main(["corrupt", "--input", str(src), "--kind", "impulse", "--severity", "3",
+                     "--seed", "7", "--output", str(single)]) == 0
+        assert main(["corrupt", "--input", str(src), "--suite", "--seed", "7",
+                     "--output-dir", str(suite)]) == 0
+        cell = suite / "impulse" / "3" / (src.stem + ".rpc")
+        assert single.read_bytes() == cell.read_bytes()
+
     def test_suite_reports_files_written(self, tmp_path, monkeypatch, capsys):
         src, _ = write_cloud(tmp_path)
         monkeypatch.setattr(cli, "ALL_KINDS", ("scale", "impulse"))
@@ -378,7 +388,7 @@ class TestEndToEnd:
                        .replace("sampler = fps", "sampler = das-l0"))
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--spec", str(cfg), "--out", str(data_dir)]) == 0
-        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        monkeypatch.setattr(Adam, "step", lambda self, grads: pytest.fail("optimizer stepped"))
         tc = build_train_config(parse_flat_file(cfg))
         ckpt = tmp_path / "model.ckpt"
         tail = "m_anchors = 40 is infeasible for sampler das-l0: cannot draw 40 distinct indices"

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from pcrobust.data import (
     sphere_surface,
 )
 from pcrobust.geometry import PointCloud, normalize_unit_sphere
+from pcrobust.model import CheckpointFormatError
 
 from conftest import random_cloud
 
@@ -178,6 +180,13 @@ class TestBinaryFormat:
         cloudio.write_cloud(cloud, txt_path)
         assert cloudio.read_cloud(bin_path).label == 1
         assert cloudio.read_cloud(txt_path).label == 1
+
+
+@pytest.mark.parametrize("error", [cloudio.CloudFormatError, CheckpointFormatError])
+def test_format_errors_round_trip_through_pickle(error):
+    back = pickle.loads(pickle.dumps(error("a.rpc", "bad magic")))
+    assert type(back) is error
+    assert (back.path, back.reason, str(back)) == ("a.rpc", "bad magic", "a.rpc: bad magic")
 
 
 class TestCloudSource:

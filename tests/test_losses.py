@@ -229,15 +229,13 @@ class TestDescentSanity:
             return attention_sem_loss([scores], (1,), 1.0)
 
         base = loss_value()
-        backward(base)
-        grads = {t: np.array(t.grad) for t in layer.tensors() if t.grad is not None}
+        grads = backward(base)
         originals = {t: np.array(t.data) for t in layer.tensors()}
 
         step = 1e-2
         for _ in range(12):
             for t in layer.tensors():
                 t.data = originals[t] - step * grads.get(t, 0.0)
-                t.zero_grad()
             if loss_value().item() < base.item():
                 break
             step /= 2

@@ -170,14 +170,14 @@ class TestTrain:
     def test_unlabeled_cloud_is_named_before_any_step(self, monkeypatch):
         dataset = tiny_dataset(per_class=2)
         dataset[2] = PointCloud(dataset[2].points)
-        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        monkeypatch.setattr(Adam, "step", lambda self, grads: pytest.fail("optimizer stepped"))
         with pytest.raises(ValueError, match="cloud 2: no label"):
             train(dataset, tiny_config())
 
     def test_labels_with_a_missing_class_are_listed(self, monkeypatch):
         dataset = tiny_dataset(per_class=2, classes=("sphere", "cube", "plane"))
         dataset = [c for c in dataset if c.label != 1]
-        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        monkeypatch.setattr(Adam, "step", lambda self, grads: pytest.fail("optimizer stepped"))
         with pytest.raises(ValueError, match=r"0\.\.C-1 with C >= 2, got \[0, 2\]$"):
             train(dataset, tiny_config())
 
@@ -189,7 +189,7 @@ class TestTrain:
     def test_a_split_with_no_validation_cloud_raises_before_any_step(self, monkeypatch):
         # round(0.1 * 4) holds out no cloud, round(0.9 * 4) trains on none
         dataset = tiny_dataset(per_class=2)
-        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        monkeypatch.setattr(Adam, "step", lambda self, grads: pytest.fail("optimizer stepped"))
         for fraction, left in ((0.1, "validation"), (0.9, "training")):
             with pytest.raises(ValueError, match=rf"^val_fraction = {fraction} of 4 "
                                                  rf"clouds leaves no {left} cloud$"):
@@ -198,7 +198,7 @@ class TestTrain:
     def test_infeasible_anchors_are_named_before_any_step(self, monkeypatch):
         # some 64-point clouds have fewer than 56 points of positive density weight
         dataset = tiny_dataset(per_class=4, points=64)
-        monkeypatch.setattr(Adam, "step", lambda self: pytest.fail("optimizer stepped"))
+        monkeypatch.setattr(Adam, "step", lambda self, grads: pytest.fail("optimizer stepped"))
         cfg = tiny_config(sampler=SampleSpec(m=56, variant="das-l0"))
         with pytest.raises(InfeasibleSampleError) as err:
             train(dataset, cfg)
@@ -662,10 +662,10 @@ class TestBatchedPaths:
         # the same draws, so the same anchors
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert abs(batched.item() - oracle.item()) <= 1e-12 * abs(oracle.item())
-        backward(batched)
-        backward(oracle)
+        grads, oracle_grads = backward(batched), backward(oracle)
         for got, want in zip(params.tensors(), oracle_params.tensors()):
-            assert np.abs(got.grad - want.grad).max() <= 1e-12 * np.abs(want.grad).max()
+            g, w = grads[got], oracle_grads[want]
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
     def test_train_step_matches_per_cloud_oracle(self):
         clouds = tiny_dataset(per_class=4, points=64)
@@ -681,8 +681,8 @@ class TestBatchedPaths:
                             n_layers=2)
         train_idx = rng.permutation(len(clouds))[n_val:]
         batch = [clouds[i] for i in train_idx[rng.permutation(train_idx.size)]]
-        backward(per_cloud_loss(batch, params, config, rng))
-        Adam(params.tensors(), lr=config.lr).step()
+        grads = backward(per_cloud_loss(batch, params, config, rng))
+        Adam(params.tensors(), lr=config.lr).step(grads)
         for got, want in zip(trained.tensors(), params.tensors()):
             assert np.abs(got.data - want.data).max() <= 1e-12
 
@@ -851,11 +851,9 @@ class TestGradientRelease:
         # nodes no longer have a pullback afterwards
         interior = [n for n in _graph_nodes(graph) if n.pullback is not None]
         grads = backward(graph)
-        assert interior and all(t.grad is None for t in interior)
+        assert interior and all(n.pullback is None for n in interior)
         assert set(map(id, grads)) == set(map(id, params.tensors()))
         released = [(t, g.tobytes()) for t, g in grads.items()]
-        for t in grads:
-            t.zero_grad()
         kept = keeping_backward(loss())
         assert [(t, g.tobytes()) for t, g in kept.items()] == released
 
@@ -866,7 +864,6 @@ class TestGradientRelease:
         loss, params = _default_dims_loss()
 
         def in_flight(run):
-            params.zero_grad()
             tracemalloc.start()
             try:
                 graph = loss()
