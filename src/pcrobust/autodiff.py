@@ -6,7 +6,7 @@ gradient a private graph node: its pullback and its parents' nodes,
 where a leaf that requires a gradient is its own node.
 ``pullback(g)`` is a pure function of the output gradient that returns
 one gradient per parent, in parent order, and mutates nothing
-(``linear`` returns None for a constant input). It holds no op result's
+(``linear`` returns None for a constant part). It holds no op result's
 Tensor, only the arrays it reads (shapes, for ``tsum`` and ``mean``), so
 a result's array is freed once its caller drops the Tensor unless a
 pullback reads it, and a dropped graph is freed by reference counting
@@ -21,20 +21,20 @@ array, or views of it, to several parents, as ``add`` does.
 
 Elementwise ops need equal shapes; the reductions ``tsum`` and
 ``max_axis`` take an axis and work at any rank. Leading axes are batch
-axes: a 2-D weight multiplies every row as one product, ``transpose``
-swaps the last two axes and the softmaxes work on the last one. The one
-broadcast is a bias over rows. Three ops are fused: ``mlp_max``, a
+axes: ``matmul`` multiplies two operands of one rank matrix by matrix,
+``transpose`` swaps the last two axes and the softmaxes work on the last
+one. One op applies a weight: ``linear`` multiplies every row of x, or of
+a list of parts read as joined on the last axis, by a 2-D weight as one
+product, then adds an optional bias over rows, the one broadcast; its node
+keeps the parts, not their joined copy. Two ops are fused: ``mlp_max``, a
 two-layer ReLU MLP over the last axis of a constant (..., g, c) array
 followed by the max over g, whose pullback recomputes the hidden layer
-one slot at a time instead of keeping it; ``entropy_rows``, the per-row
-entropy of a tempered softmax with the arithmetic of a five-op chain
-(``log_softmax_rows``, exp, ``mul``, ``tsum``, ``mul_scalar``), whose
-node keeps only log q; and ``concat_matmul``, parts joined on the last
-axis times a 2-D weight, whose node keeps the parts, not their joined
-copy, and whose pullback returns one gradient per part. The module has
-only the ops the package calls; the tests keep the unfused references.
-Every op validates that its result is finite and raises NonFiniteError
-otherwise.
+one slot at a time instead of keeping it; and ``entropy_rows``, the
+per-row entropy of a tempered softmax with the arithmetic of a five-op
+chain (``log_softmax_rows``, exp, ``mul``, ``tsum``, ``mul_scalar``),
+whose node keeps only log q. The module has only the ops the package
+calls; the tests keep the unfused references. Every op validates that its
+result is finite and raises NonFiniteError otherwise.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ def backward(loss: Tensor):
     if not loss.requires_grad:
         raise ValueError("loss does not depend on any requires_grad tensor")
     root = loss._node or loss
-    if root is not loss and root.pullback is None:
-        raise ValueError("this graph was consumed by an earlier backward; build it again")
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -112,6 +110,8 @@ def backward(loss: Tensor):
         for p in node.parents:
             if p is not None and id(p) not in visited:
                 stack.append((p, False))
+    if any(type(node) is _Node and node.pullback is None for node in order):
+        raise ValueError("this graph was consumed by an earlier backward; build it again")
     grads = {root: np.ones(())}
     for node in reversed(order):
         if node.pullback is None:
@@ -153,49 +153,22 @@ def _rows(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b: one product over all rows of a for a 2-D b, else batched."""
-    x, y, shape = _rows(a.data) if b.data.ndim == 2 else a.data, b.data, a.data.shape
+    """a @ b for operands of one rank, batched over the leading axes."""
+    x, y = a.data, b.data
+    if x.ndim != y.ndim:
+        raise ValueError(f"matmul needs operands of one rank, got {x.shape} and {y.shape}; "
+                         "linear applies a 2-D weight over rows")
     # overflow/inf-minus-inf surface as NonFiniteError from the result check
     with np.errstate(over="ignore", invalid="ignore"):
-        data = (x @ y).reshape(shape[:-1] + y.shape[-1:])
-
-    def pullback(g):
-        g = g.reshape(x.shape[:-1] + g.shape[-1:])
-        ga = (g @ np.swapaxes(y, -1, -2)).reshape(shape)
-        return ga, np.swapaxes(x, -1, -2) @ g
-
-    return _result(data, (a, b), pullback)
+        data = x @ y
+    return _result(data, (a, b), lambda g: (g @ np.swapaxes(y, -1, -2),
+                                            np.swapaxes(x, -1, -2) @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     data = np.swapaxes(a.data, -1, -2).copy()
     return _result(data, (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def concat_matmul(parts, w: Tensor) -> Tensor:
-    """``matmul`` of the parts joined on the last axis by a 2-D w, with its
-    arithmetic, but no (..., sum of widths) array outlives the call: the
-    node keeps the parts and w, and the pullback hands part l
-    ``g @ w[rows of l].T`` and w the stacked ``part_l^T @ g`` blocks, a
-    column split of matmul's input gradient and a row split of its weight
-    gradient."""
-    parts = list(parts)
-    if w.data.ndim != 2:
-        raise ValueError(f"concat_matmul needs a 2-D weight, got shape {w.data.shape}")
-    xs, weight = [p.data for p in parts], w.data
-    joined = np.concatenate(xs, axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = (_rows(joined) @ weight).reshape(joined.shape[:-1] + weight.shape[-1:])
-    offsets = np.cumsum([0] + [x.shape[-1] for x in xs])
-
-    def pullback(g):
-        g = _rows(g)
-        grads = [(g @ weight[lo:hi].T).reshape(x.shape)
-                 for x, lo, hi in zip(xs, offsets[:-1], offsets[1:])]
-        return grads + [np.concatenate([_rows(x).T @ g for x in xs])]
-
-    return _result(data, parts + [w], pullback)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -278,21 +251,41 @@ def entropy_rows(x: Tensor, tau: float = 1.0) -> Tensor:
     return _result((q * log_q).sum(axis=-1) * -1.0, (x,), pullback)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the last axis of x, the (d_out,) bias b broadcast over rows."""
-    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+def linear(x: Tensor | list[Tensor], w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) over the last axis of x, the (d_out,) bias b broadcast
+    over rows: the one op that applies a 2-D weight. x is a Tensor, or a
+    list of parts read as joined on the last axis; the node keeps the
+    parts, not their joined copy, and the pullback hands part l
+    ``g @ w[rows of l].T`` (None for a constant part) and w the stacked
+    ``part_l^T @ g`` blocks, a column and a row split of the joined
+    product's gradients."""
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    if not parts:
+        raise ValueError("linear needs at least one part")
+    if w.data.ndim != 2:
+        raise ValueError(f"linear needs a 2-D weight, got shape {w.data.shape}")
+    if b is not None and b.data.shape != w.data.shape[1:]:
         raise ValueError(f"bias shape {b.data.shape} does not fit weight {w.data.shape}")
-    rows, weight, shape, x_grad = _rows(x.data), w.data, x.data.shape, x.requires_grad
+    xs, weight = [p.data for p in parts], w.data
+    joined = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=-1)
+    needs, biased = [p.requires_grad for p in parts], b is not None
     with np.errstate(over="ignore", invalid="ignore"):
-        data = rows @ weight
-        data += b.data
+        data = _rows(joined) @ weight
+        if biased:
+            data += b.data
 
     def pullback(g):
-        g = _rows(g)
-        gx = (g @ weight.T).reshape(shape) if x_grad else None
-        return gx, rows.T @ g, g.sum(axis=0)
+        g, grads, lo = _rows(g), [], 0
+        for part, need in zip(xs, needs):
+            hi = lo + part.shape[-1]
+            grads.append((g @ weight[lo:hi].T).reshape(part.shape) if need else None)
+            lo = hi
+        blocks = [_rows(part).T @ g for part in xs]
+        grads.append(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+        return grads + [g.sum(axis=0)] if biased else grads
 
-    return _result(data.reshape(shape[:-1] + b.data.shape), (x, w, b), pullback)
+    return _result(data.reshape(joined.shape[:-1] + weight.shape[-1:]),
+                   parts + [w, b] if biased else parts + [w], pullback)
 
 
 def mlp_max(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

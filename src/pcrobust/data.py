@@ -23,11 +23,16 @@ def derive_seed(master: int, *parts) -> int:
     return (int(master) ^ int.from_bytes(digest[:8], "little")) & (2**64 - 1)
 
 
+def cloud_name(cloud: PointCloud, index: int) -> str:
+    """How errors name a cloud: its source file, else ``cloud {index}``."""
+    return cloud.source or f"cloud {index}"
+
+
 def check_labeled(clouds) -> None:
     """Raise ValueError naming the first cloud without a label."""
     for i, cloud in enumerate(clouds):
         if cloud.label is None:
-            raise ValueError(f"{cloud.source or f'cloud {i}'}: no label; every cloud needs one")
+            raise ValueError(f"{cloud_name(cloud, i)}: no label; every cloud needs one")
 
 
 def sphere_surface(rng, n):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import _keep_freed_arrays
 from .corruption import ALL_KINDS, SEVERITIES, corruption_suite
-from .data import check_labeled, derive_seed
+from .data import check_labeled, cloud_name, derive_seed
 from .model import BaselineParams, checked_candidates, network_on_draws
 from .sampling import SampleSpec
 
@@ -144,7 +144,7 @@ def evaluate(
     check_labeled(dataset)
     for i, cloud in enumerate(dataset):
         if not 0 <= cloud.label < params.n_classes:
-            raise ValueError(f"{cloud.source or f'cloud {i}'}: label {cloud.label} has no "
+            raise ValueError(f"{cloud_name(cloud, i)}: label {cloud.label} has no "
                              f"class in a model of {params.n_classes} classes")
     baseline = isinstance(params, BaselineParams)
     if sampler is None and not baseline:
@@ -154,7 +154,7 @@ def evaluate(
     params = params.no_grad()
     records = []
     for i, cloud in enumerate(dataset):
-        name = cloud.source or f"cloud {i}"
+        name = cloud_name(cloud, i)
         try:
             suite = corruption_suite(cloud, kinds, derive_seed(corruption_seed, "cloud", i),
                                      severities)

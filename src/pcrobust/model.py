@@ -284,9 +284,9 @@ def self_attention_layer(f_in: Tensor, layer: AttentionLayerParams, d_attn: int)
     Returns (output, scores) where scores = Q K^T / sqrt(d_attn) is kept
     pre-softmax for the entropy objective.
     """
-    q = ad.matmul(f_in, layer.w_q)
-    k = ad.matmul(f_in, layer.w_k)
-    v = ad.matmul(f_in, layer.w_v)
+    q = ad.linear(f_in, layer.w_q)
+    k = ad.linear(f_in, layer.w_k)
+    v = ad.linear(f_in, layer.w_v)
     scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d_attn))
     attended = ad.matmul(ad.softmax_rows(scores), v)
     return ad.add(attended, f_in), scores
@@ -310,14 +310,14 @@ def network(inputs: np.ndarray, params) -> ForwardTrace:
 
 def classify_embedded(f: Tensor, params: ModelParams) -> ForwardTrace:
     """The classifier after ``neighbor_embed``, on (..., M, D) anchor features.
-    The stage outputs are joined and projected by one ``concat_matmul`` op,
-    whose graph keeps the stages, not a (..., M, n_layers * D) copy."""
+    One ``linear`` projects the list of stage outputs as if joined on the
+    last axis; its graph keeps the stages, not a (..., M, n_layers * D) copy."""
     stage_outputs, score_maps = [], []
     for layer in params.layers:
         f, scores = self_attention_layer(f, layer, params.d_attn)
         stage_outputs.append(f)
         score_maps.append(scores)
-    f_o = ad.concat_matmul(stage_outputs, params.w_o)
+    f_o = ad.linear(stage_outputs, params.w_o)
     return ForwardTrace(_pool_head(f_o, params), score_maps)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError
-from .data import check_labeled, derive_seed
+from .data import check_labeled, cloud_name, derive_seed
 from .losses import LossConfig, attention_sem_loss, smoothed_cross_entropy, total_loss
 from .model import (BaselineParams, ModelParams, checked_candidates, init_baseline,
                     init_model, network, stack_inputs)
@@ -177,7 +177,7 @@ def train(dataset, config: TrainConfig) -> TrainResult:
     if config.arch == "attention":
         m, variant = config.sampler.m, config.sampler.variant
         for index, cloud in enumerate(dataset):
-            where = cloud.source or f"dataset cloud {index}"
+            where = cloud_name(cloud, index)
             available = checked_candidates(cloud, config.group_k, config.sampler, where,
                                            index)
             if available < m:

@@ -174,8 +174,8 @@ def embed_chain(feats, w1, b1, w2, b2):
 
 def concat(tensors):
     """Autodiff op: join on the last axis; the pullback hands each input
-    its slice of the output gradient. ``autodiff.concat_matmul`` is
-    compared with ``matmul(concat(parts), w)``."""
+    its slice of the output gradient. ``autodiff.linear`` of a list of
+    parts is compared with ``linear(concat(parts), w)``."""
     import numpy as np
 
     from pcrobust.autodiff import _result

@@ -100,6 +100,18 @@ class TestBackwardBasics:
             backward(graph)
         assert np.array_equal(backward(loss())[x], [2.0, 0.0, 2.0])
 
+    def test_backward_through_a_consumed_node_raises(self):
+        # y's node was consumed by the first call; the second must refuse,
+        # not stop at y and return it in place of x
+        x = Tensor(np.array([1.0, -1.0, 2.0]), requires_grad=True)
+        y = ad.mul_scalar(x, 2.0)
+        assert np.array_equal(backward(ad.tsum(y))[x], [2.0, 2.0, 2.0])
+        fresh = ad.tsum(ad.mul_scalar(y, 3.0))
+        with pytest.raises(ValueError, match="consumed by an earlier backward"):
+            backward(fresh)
+        # a refused call consumes nothing
+        assert fresh._node.pullback is not None
+
     def test_fresh_graphs_of_one_weight_get_equal_gradients(self):
         # backward is a function of its graph: no gradient carries over
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
@@ -171,7 +183,7 @@ class TestBatchAxes:
         bias = rng.standard_normal(2)
         ops = [
             (lambda x: ad.matmul(x, Tensor(b)), lambda i, x: ad.matmul(x, Tensor(b[i]))),
-            (lambda x: ad.matmul(x, Tensor(w)), lambda i, x: ad.matmul(x, Tensor(w))),
+            (lambda x: ad.linear(x, Tensor(w)), lambda i, x: ad.linear(x, Tensor(w))),
             (lambda x: ad.linear(x, Tensor(w), Tensor(bias)),
              lambda i, x: ad.linear(x, Tensor(w), Tensor(bias))),
             (ad.transpose, lambda i, x: ad.transpose(x)),
@@ -199,6 +211,10 @@ class TestBatchAxes:
     def test_matmul_rank_mismatch(self):
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 3))))
+
+    def test_matmul_by_a_weight_names_linear(self):
+        with pytest.raises(ValueError, match="linear"):
+            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 3))))
 
 
 class TestShapeChecks:
@@ -261,7 +277,7 @@ def op_cases(seed):
         ("max_axis[0]", lambda t: ad.mean(ad.max_axis(t, 0)), x34),
         ("max_axis[1]", lambda t: ad.mean(ad.max_axis(t, 1)), x34),
         ("max_axis[1, 3-D]", lambda t: ad.mean(ad.max_axis(t, 1)), rng.standard_normal((2, 3, 4))),
-        ("matmul[rows, 3-D]", lambda t: ad.mean(ad.mul(ad.matmul(t, c43), c233)), x234),
+        ("linear[x, no b, 3-D]", lambda t: ad.mean(ad.mul(ad.linear(t, c43), c233)), x234),
         ("matmul[left, 3-D]", lambda t: ad.mean(ad.mul(ad.matmul(t, c243), c233)), x234),
         ("matmul[right, 3-D]", lambda t: ad.mean(ad.mul(ad.matmul(c234, t), c233)),
          rng.standard_normal((2, 4, 3))),
@@ -294,23 +310,35 @@ def op_cases(seed):
         ("entropy_rows[1.3]", lambda t: ad.mean(ad.mul(ad.entropy_rows(t, 1.3), c3)), x34),
         ("entropy_rows[3-D]", lambda t: ad.mean(ad.mul(ad.entropy_rows(t, 1.3), c23)), x234),
     ]
-    # concat_matmul of a (.., 4) and a (.., 2) part by a (6, 3) weight,
-    # drawn last for the same reason
+    # linear of a (.., 4) and a (.., 2) part by a (6, 3) weight, drawn
+    # after the cases above for the same reason
     c32, c232 = Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal((2, 3, 2)))
     c63, c33 = Tensor(rng.standard_normal((6, 3))), Tensor(rng.standard_normal((3, 3)))
     cases += [
-        ("concat_matmul[first]",
-         lambda t: ad.mean(ad.mul(ad.concat_matmul([t, c32], c63), c33)), x34),
-        ("concat_matmul[w]",
-         lambda t: ad.mean(ad.mul(ad.concat_matmul([c34, c32], t), c33)),
+        ("linear[parts, first]",
+         lambda t: ad.mean(ad.mul(ad.linear([t, c32], c63), c33)), x34),
+        ("linear[parts, w]",
+         lambda t: ad.mean(ad.mul(ad.linear([c34, c32], t), c33)),
          rng.standard_normal((6, 3))),
-        ("concat_matmul[first, 3-D]",
-         lambda t: ad.mean(ad.mul(ad.concat_matmul([t, c232], c63), c233)), x234),
-        ("concat_matmul[second, 3-D]",
-         lambda t: ad.mean(ad.mul(ad.concat_matmul([c234, t], c63), c233)),
+        ("linear[parts, first, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.linear([t, c232], c63), c233)), x234),
+        ("linear[parts, second, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.linear([c234, t], c63), c233)),
          rng.standard_normal((2, 3, 2))),
-        ("concat_matmul[w, 3-D]",
-         lambda t: ad.mean(ad.mul(ad.concat_matmul([c234, c232], t), c233)),
+        ("linear[parts, w, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.linear([c234, c232], t), c233)),
+         rng.standard_normal((6, 3))),
+    ]
+    # parts with a bias, drawn last
+    c3b = Tensor(rng.standard_normal(3))
+    cases += [
+        ("linear[parts, b]",
+         lambda t: ad.mean(ad.mul(ad.linear([c34, c32], c63, t), c33)), rng.standard_normal(3)),
+        ("linear[parts, second, b, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.linear([c234, t], c63, c3b), c233)),
+         rng.standard_normal((2, 3, 2))),
+        ("linear[parts, w, b, 3-D]",
+         lambda t: ad.mean(ad.mul(ad.linear([c234, c232], t, c3b), c233)),
          rng.standard_normal((6, 3))),
     ]
     return cases
@@ -379,22 +407,26 @@ def test_entropy_rows_is_bitwise_the_five_op_chain(tau):
     assert got[0] == got[1]
 
 
-def _stage_outputs(batch, rng):
-    """Four (batch, 64, 64) parts, as the README dims' attention stages give,
-    or (64, 64) ones for batch None, and the (256, 64) projection."""
+def _stage_outputs(batch, rng, n_parts=4):
+    """n_parts (batch, 64, 64) parts, as the README dims' attention stages
+    give, or (64, 64) ones for batch None, and the (64 * n_parts, 64)
+    projection."""
     shape = (64, 64) if batch is None else (batch, 64, 64)
-    parts = [rng.standard_normal(shape) for _ in range(4)]
-    return parts, rng.standard_normal((256, 64)) / 16.0
+    parts = [rng.standard_normal(shape) for _ in range(n_parts)]
+    return parts, rng.standard_normal((64 * n_parts, 64)) / 16.0
 
 
 class TestConcatMatmul:
+    """``linear`` over a list of parts: the matrix product of their
+    concatenation, without the concatenated copy."""
+
     @pytest.mark.parametrize("batch", [None, 5, 16], ids=["unbatched", "5", "16"])
     def test_is_bitwise_matmul_of_concat(self, batch):
         rng = _seeded(batch or 0)
         parts, w = _stage_outputs(batch, rng)
         probe = Tensor(rng.standard_normal(parts[0].shape))
         got = []
-        for project in (ad.concat_matmul, lambda ts, t: ad.matmul(oracles.concat(ts), t)):
+        for project in (ad.linear, lambda ts, t: ad.linear(oracles.concat(ts), t)):
             ts = [Tensor(p, requires_grad=True) for p in parts]
             tw = Tensor(w, requires_grad=True)
             out = project(ts, tw)
@@ -402,20 +434,23 @@ class TestConcatMatmul:
             got.append([out.data.tobytes()] + [grads[t].tobytes() for t in ts + [tw]])
         assert got[0] == got[1]
 
-    def test_graph_keeps_the_parts_not_their_joined_copy(self):
-        parts, w = _stage_outputs(16, _seeded(3))
+    @pytest.mark.parametrize("n_parts", [1, 4])
+    def test_graph_keeps_the_parts_not_their_joined_copy(self, n_parts):
+        # one part is kept as the input's own array, four without a joined copy
+        parts, w = _stage_outputs(16, _seeded(3), n_parts)
         ts = [Tensor(p, requires_grad=True) for p in parts]
         tw = Tensor(w, requires_grad=True)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = ad.concat_matmul(ts, tw)
+            out = ad.linear(ts, tw)
             retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
         finally:
             tracemalloc.stop()
         assert retained < parts[0].nbytes
         kept = inspect.getclosurevars(out._node.pullback).nonlocals.values()
-        for array in (a for v in kept for a in (v if isinstance(v, list) else [v])):
+        for array in (a for v in kept for a in (v if isinstance(v, list) else [v])
+                      if isinstance(a, np.ndarray)):
             assert any(array is p for p in parts + [w]) or array.nbytes < parts[0].nbytes
 
         grads = out._node.pullback(np.ones_like(out.data))
@@ -426,7 +461,11 @@ class TestConcatMatmul:
 
     def test_needs_a_2d_weight(self):
         with pytest.raises(ValueError, match="2-D weight"):
-            ad.concat_matmul([Tensor(np.ones((2, 3, 4)))], Tensor(np.ones((2, 4, 3))))
+            ad.linear([Tensor(np.ones((2, 3, 4)))], Tensor(np.ones((2, 4, 3))))
+
+    def test_needs_a_part(self):
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear([], Tensor(np.ones((4, 3))))
 
 
 class TestFiniteDifferences:

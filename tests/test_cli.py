@@ -412,7 +412,7 @@ class TestEndToEnd:
         # the in-memory dataset has no files, so it names the cloud's index
         dataset = gen_dataset(build_dataset_specs(parse_flat_file(cfg))[0])
         index, available = first_short(dataset)
-        message = f"dataset cloud {index}: {tail} from {available} anchor candidates"
+        message = f"cloud {index}: {tail} from {available} anchor candidates"
         assert main(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
         assert capsys.readouterr().err == message + "\n"
         with pytest.raises(InfeasibleAnchorsError) as err:
@@ -866,3 +866,12 @@ class TestConfigParsing:
                        if row.startswith("| `")]
         documented = {name for cell in first_cells for name in re.findall(r"`(\w+)`", cell)}
         assert documented == set(KEYS)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and all(0.0 <= float(x) <= 1.0 for x in printed)

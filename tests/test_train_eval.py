@@ -206,7 +206,7 @@ class TestTrain:
         first = next(i for i, n in enumerate(positive) if n < 56)
         assert isinstance(err.value, InfeasibleAnchorsError)
         assert str(err.value) == (
-            f"dataset cloud {first}: m_anchors = 56 is infeasible for sampler "
+            f"cloud {first}: m_anchors = 56 is infeasible for sampler "
             f"das-l0: cannot draw 56 distinct indices from {positive[first]} "
             f"anchor candidates")
         assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
@@ -227,13 +227,13 @@ class TestTrain:
         dataset = tiny_dataset(per_class=2, points=40)
         with pytest.raises(TooFewPointsError) as err:
             train(dataset, tiny_config(group_k=50))
-        assert str(err.value) == ("dataset cloud 0: 40 points, fewer than the 50 that "
+        assert str(err.value) == ("cloud 0: 40 points, fewer than the 50 that "
                                   "group_k = 50 and sampler fps read")
         assert str(pickle.loads(pickle.dumps(err.value))) == str(err.value)
         # a DAS sampler's density score reads k + 1 neighbours of every point
         with pytest.raises(TooFewPointsError) as err:
             train(dataset, tiny_config(sampler=SampleSpec(m=8, k=45, variant="das-l0")))
-        assert str(err.value) == ("dataset cloud 0: 40 points, fewer than the 46 that "
+        assert str(err.value) == ("cloud 0: 40 points, fewer than the 46 that "
                                   "group_k = 4 and sampler das-l0 with k = 45 read")
 
     def test_das_training_runs(self):
@@ -965,7 +965,7 @@ class TestGraphKeepsWhatBackwardReads:
         # README default dims at batch 4: 5.79 MiB traced while the graph
         # kept every op result's array, 3.40 MiB while SEM ran as five ops
         # and kept q and log q per layer, 2.89 MiB with entropy_rows, 2.52
-        # MiB with concat_matmul, which keeps no joined copy of the stages
+        # MiB with linear over the stage list, which keeps no joined copy
         loss, _ = _default_dims_loss()
         tracemalloc.start()
         try:
